@@ -474,11 +474,10 @@ def write_report(report: SolutionReport, fmt: str = "json") -> bytes:
 
 
 def read_report(source) -> SolutionReport:
-    """Parse a JSON report written by write_report (path or bytes)."""
-    if isinstance(source, (bytes, str)) and not isinstance(source, Path):
+    """Parse a JSON report written by write_report: str or bytes hold the
+    JSON text itself, a Path names the report file."""
+    if isinstance(source, (bytes, str)):
         text = source.decode() if isinstance(source, bytes) else source
-        if "\n" not in text and text.endswith(".json"):
-            text = Path(text).read_text()
     else:
         text = Path(source).read_text()
     try:

@@ -2,18 +2,26 @@
 
 Wind deviations at the sigma-positive buses are independent Gaussians;
 generators absorb the aggregate imbalance through participation factors
-alpha (p_i(w) = p_i - alpha_i * sum(w)). Angle differences are then
-Gaussian with mean from the deterministic linear flow map and standard
-deviation
+alpha (p_i(w) = p_i - alpha_i * sum(w), with sum(alpha) = 1). Angle
+differences are then Gaussian. Both moments come from one per-line
+table, the network's GapSensitivity: with D_l and W_l the sensitivities
+of line l's angle gap to injections at the generator buses and at the
+wind buses, the line's angle gap is
 
-    S_ij(alpha) = sqrt(sum_k sigma_k^2 (Bred_ik - Bred_jk - d_i + d_j)^2)
+    D_l p + offset_l + (W_l - D_l alpha) w
 
-where d = Bred * M * alpha. Each line carries two conic constraints,
+so its standard deviation is
 
-    |mean gap| + eta(eps) * S  <=  pbar/beta   (thermal)
-    |mean gap| + eta(eps) * S  <=  1           (synchronization)
+    S_l(alpha) = || sigma * (W_l - D_l alpha) ||
 
-with eta the Gaussian tail multiplier. S is convex in alpha, so the
+Each line carries two conic constraints,
+
+    |mean gap| + eta(eps_line) * S  <=  pbar/beta   (thermal)
+    |mean gap| + eta(eps_sync) * S  <=  1           (synchronization)
+
+with eta the Gaussian tail multiplier. build_conic_constraints returns
+both for every line as one ConicTable; violations, probabilities and
+tangents are array expressions over it. S is convex in alpha, so the
 conic terms are handled by cutting planes: tangents of S are substituted
 into the linear rows and the QP is re-solved until no constraint is
 violated beyond tol_cut. Tangent substitution keeps the active set of
@@ -35,13 +43,14 @@ from scipy.special import erfc
 
 from .case_io import ChanceSpec, IterationRecord
 from .errors import DomainError, InfeasibleError, IterLimitError, ValidationError
-from .network import Dispatch, Network
+from .network import Dispatch, GapSensitivity, Network
 from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
 
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
+_KINDS = ("thermal", "sync")  # order of each line's pair of rows in violations()
 
 
 def eta(eps: float, tol: float = 1e-12) -> float:
@@ -83,115 +92,78 @@ def eta(eps: float, tol: float = 1e-12) -> float:
     return _SQRT2 * z
 
 
-def _qfun(x: float) -> float:
-    # Gaussian upper-tail probability
+def _qfun(x):
+    # Gaussian upper-tail probability, elementwise
     return 0.5 * erfc(x / _SQRT2)
 
 
 @dataclass(frozen=True)
-class ConicConstraint:
-    """One linearized-flow chance constraint |mean| + eta * S <= bound."""
+class ConicTable(GapSensitivity):
+    """Every line's two chance constraints |mean gap| + eta * S <= bound.
 
-    line: int
-    kind: str  # thermal | sync
-    bound: float
-    eta: float
-    mean_offset: float
-    rowdiff_gen: np.ndarray  # angle-gap sensitivity to p (length n_gen)
-    rowdiff_wind: np.ndarray  # Bred row difference at wind buses
-    sigma_wind: np.ndarray
+    Extends the network's gap sensitivities with the thermal bound
+    pbar/beta (the sync bound is 1) and the per-line thermal and sync
+    multipliers eta_t and eta_s.
+    """
 
-    def __post_init__(self):
-        if self.kind not in ("thermal", "sync"):
-            raise ValidationError(f"unknown constraint kind {self.kind!r}")
-        if not self.bound > 0.0:
-            raise ValidationError(f"conic bound must be positive, got {self.bound}")
-        if self.eta < 0.0:
-            raise ValidationError("eta must be nonnegative")
+    bound: np.ndarray
+    eta_t: np.ndarray
+    eta_s: np.ndarray
 
 
-def build_conic_constraints(net: Network, chance: ChanceSpec) -> list:
-    """Thermal and sync conic constraints, line-major order."""
+def build_conic_constraints(net: Network, chance: ChanceSpec) -> ConicTable:
+    """The per-line table of thermal and sync conic constraints."""
     if len(chance.eps_line) != net.n_line or len(chance.eps_gen) != net.n_gen:
         raise ValidationError("chance spec does not match network dimensions")
-    bred = net.bred
-    cons = []
-    mu_minus_d = net.wind_mean - net.demand
-    for k in range(net.n_line):
-        rowdiff = bred[net.from_index[k]] - bred[net.to_index[k]]
-        gw = rowdiff[net.wind_index].copy()
-        dvec = rowdiff @ net.gen_matrix
-        offset = float(rowdiff @ mu_minus_d)
-        sig = net.wind_sigma[net.wind_index].copy()
-        cons.append(
-            ConicConstraint(
-                line=k,
-                kind="thermal",
-                bound=float(net.pbar[k] / net.beta[k]),
-                eta=eta(chance.eps_line[k]),
-                mean_offset=offset,
-                rowdiff_gen=dvec,
-                rowdiff_wind=gw,
-                sigma_wind=sig,
-            )
-        )
-        cons.append(
-            ConicConstraint(
-                line=k,
-                kind="sync",
-                bound=1.0,
-                eta=eta(chance.eps_sync[k]),
-                mean_offset=offset,
-                rowdiff_gen=dvec,
-                rowdiff_wind=gw,
-                sigma_wind=sig,
-            )
-        )
-    return cons
+    sens = net.gap_sensitivity
+    return ConicTable(
+        gen=sens.gen,
+        wind=sens.wind,
+        offset=sens.offset,
+        sigma=sens.sigma,
+        bound=net.pbar / net.beta,
+        eta_t=np.array([eta(e) for e in chance.eps_line]),
+        eta_s=np.array([eta(e) for e in chance.eps_sync]),
+    )
 
 
-def mean_angle_gap(con: ConicConstraint, dispatch: Dispatch) -> float:
-    return float(con.rowdiff_gen @ dispatch.p + con.mean_offset)
+def violations(table: ConicTable, dispatch: Dispatch) -> np.ndarray:
+    """Signed slacks, positive where violated, as line-major (thermal,
+    sync) pairs: entry 2l is line l's thermal row, 2l + 1 its sync row."""
+    gap = np.abs(table.mean(dispatch))
+    s = table.spread(dispatch)
+    return np.column_stack(
+        [gap + table.eta_t * s - table.bound, gap + table.eta_s * s - 1.0]
+    ).ravel()
 
 
-def conic_lhs(con: ConicConstraint, dispatch: Dispatch) -> float:
-    """Standard deviation S of the line's angle gap under the dispatch."""
-    d = float(con.rowdiff_gen @ dispatch.alpha)
-    return float(np.linalg.norm(con.sigma_wind * (con.rowdiff_wind - d)))
+def analytic_violation_prob(mean, spread, bound) -> np.ndarray:
+    """Exact two-sided Gaussian probability that |gap| > bound, elementwise."""
+    m = np.abs(mean)
+    with np.errstate(all="ignore"):
+        p = np.minimum(_qfun((bound - m) / spread) + _qfun((bound + m) / spread), 1.0)
+    return np.where(spread <= 1e-300, (m > bound).astype(float), p)
 
 
-def violation(con: ConicConstraint, dispatch: Dispatch) -> float:
-    """Signed slack: positive means the conic constraint is violated."""
-    return abs(mean_angle_gap(con, dispatch)) + con.eta * conic_lhs(con, dispatch) - con.bound
+def one_sided_violation_probs(mean, spread, bound) -> tuple:
+    """(upper, lower) tail probabilities of the signed gap, elementwise."""
+    with np.errstate(all="ignore"):
+        upper, lower = _qfun((bound - mean) / spread), _qfun((bound + mean) / spread)
+    flat = spread <= 1e-300
+    return (
+        np.where(flat, (mean > bound).astype(float), upper),
+        np.where(flat, (-mean > bound).astype(float), lower),
+    )
 
 
-def analytic_violation_prob(con: ConicConstraint, dispatch: Dispatch) -> float:
-    """Exact two-sided Gaussian probability that |angle gap| > bound."""
-    s = conic_lhs(con, dispatch)
-    m = abs(mean_angle_gap(con, dispatch))
-    if s <= 1e-300:
-        return 1.0 if m > con.bound else 0.0
-    p = _qfun((con.bound - m) / s) + _qfun((con.bound + m) / s)
-    return min(p, 1.0)
-
-
-def one_sided_violation_probs(con: ConicConstraint, dispatch: Dispatch) -> tuple:
-    """(upper, lower) tail probabilities of the signed angle gap."""
-    s = conic_lhs(con, dispatch)
-    m = mean_angle_gap(con, dispatch)
-    if s <= 1e-300:
-        return (1.0 if m > con.bound else 0.0, 1.0 if -m > con.bound else 0.0)
-    return (_qfun((con.bound - m) / s), _qfun((con.bound + m) / s))
-
-
-def generator_violation_prob(
-    p: float, alpha: float, pmin: float, pmax: float, sigma_tot: float
-) -> float:
-    """Two-sided probability the responding output p - alpha*W leaves its box."""
-    sd = abs(alpha) * sigma_tot
-    if sd <= 1e-300:
-        return 1.0 if (p > pmax or p < pmin) else 0.0
-    return min(_qfun((pmax - p) / sd) + _qfun((p - pmin) / sd), 1.0)
+def generator_violation_prob(p, alpha, pmin, pmax, sigma_tot: float) -> np.ndarray:
+    """Two-sided probability the responding output p - alpha*W leaves its
+    box, elementwise over generators."""
+    sd = np.abs(alpha) * sigma_tot
+    with np.errstate(all="ignore"):
+        prob = np.minimum(_qfun((pmax - p) / sd) + _qfun((p - pmin) / sd), 1.0)
+    outside = np.logical_or(p > pmax, p < pmin).astype(float)
+    return np.where(sd <= 1e-300, outside, prob)
 
 
 def expected_cost(net: Network, dispatch: Dispatch, sigma_tot_sq: float) -> float:
@@ -218,13 +190,17 @@ class Cut:
         return self.s_hat + self.grad * (d - self.d_hat)
 
 
-def _tangent(con: ConicConstraint, d_hat: float, iteration: int) -> Cut | None:
-    r = con.sigma_wind * (con.rowdiff_wind - d_hat)
-    s_hat = float(np.linalg.norm(r))
-    if s_hat <= 1e-14:
-        return None
-    grad = float(-np.sum(con.sigma_wind * r) / s_hat)
-    return Cut(line=con.line, iteration=iteration, d_hat=d_hat, s_hat=s_hat, grad=grad)
+def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration: int) -> list:
+    """Cuts of S at d_hat for the given lines; lines whose S vanishes there
+    have no tangent and get none."""
+    r = table.sigma * (table.wind[lines] - d_hat[:, None])
+    s_hat = np.linalg.norm(r, axis=1)
+    grad = -np.sum(table.sigma * r, axis=1)
+    return [
+        Cut(line=int(k), iteration=iteration, d_hat=float(d), s_hat=float(s), grad=float(gs / s))
+        for k, d, s, gs in zip(lines, d_hat, s_hat, grad)
+        if s > 1e-14
+    ]
 
 
 @dataclass
@@ -238,60 +214,48 @@ class CcSolution:
     iteration_log: list = field(default_factory=list)  # of IterationRecord
     objective_trace: list = field(default_factory=list)
     violated_counts: list = field(default_factory=list)
-    constraints: list = field(default_factory=list)
+    table: ConicTable | None = None
     cuts: list = field(default_factory=list)
     violations: np.ndarray | None = None  # line-major (thermal, sync) pairs
     binding_thermal: np.ndarray | None = None
     binding_sync: np.ndarray | None = None
-    prob_thermal: np.ndarray | None = None
-    prob_sync: np.ndarray | None = None
-    prob_gen: np.ndarray | None = None
     mean_flow: np.ndarray | None = None
 
 
-def _assemble_inequalities(net, cons, cuts, eta_t, eta_s):
+def _assemble_inequalities(table: ConicTable, cuts: list):
     """Base deterministic rows plus substituted tangent rows.
 
     Base rows are the zero tangent S >= 0:  +-mean <= min(bound_t, 1).
     Each stored cut contributes +-mean + eta * tangent(alpha) <= bound
-    for every kind with eta > 0 (eta = 0 rows duplicate the base).
+    for every kind with eta > 0 (eta = 0 rows duplicate the base), the
+    thermal kind first; a line whose two kinds share eta gets one pair
+    of rows against the smaller bound.
     """
-    g = net.n_gen
-    m = net.n_line
-    dmat = np.vstack([cons[2 * k].rowdiff_gen for k in range(m)])
-    off = np.array([cons[2 * k].mean_offset for k in range(m)])
-    cap = np.minimum(np.array([cons[2 * k].bound for k in range(m)]), 1.0)
+    dmat, off = table.gen, table.offset
+    m, g = dmat.shape
+    cap = np.minimum(table.bound, 1.0)
+    same = np.abs(table.eta_t - table.eta_s) < 1e-15
+    kind_eta = np.column_stack([table.eta_t, np.where(same, 0.0, table.eta_s)])
+    kind_bound = np.column_stack([np.where(same, cap, table.bound), np.ones(m)])
+
+    lines = np.array([c.line for c in cuts], dtype=int)
+    grad = np.array([c.grad for c in cuts])
+    intercept = np.array([c.s_hat - c.grad * c.d_hat for c in cuts])
+    cut_idx, kind = np.nonzero(kind_eta[lines] > 0.0)  # cut-major, thermal first
+    k = lines[cut_idx]
+    eta_k = kind_eta[k, kind]
+    coeff = (eta_k * grad[cut_idx])[:, None] * dmat[k]
+    rhs = kind_bound[k, kind] - eta_k * intercept[cut_idx]
+    cut_rows = np.stack(
+        [np.hstack([dmat[k], coeff]), np.hstack([-dmat[k], coeff])], axis=1
+    ).reshape(-1, 2 * g)
 
     zeros = np.zeros((m, g))
-    rows_a = [np.hstack([dmat, zeros]), np.hstack([-dmat, zeros])]
-    rows_b = [cap - off, cap + off]
-
-    for cut in cuts:
-        k = cut.line
-        dvec = cons[2 * k].rowdiff_gen
-        intercept = cut.s_hat - cut.grad * cut.d_hat
-        kinds = []
-        if abs(eta_t[k] - eta_s[k]) < 1e-15:
-            if eta_t[k] > 0.0:
-                kinds.append((eta_t[k], min(cons[2 * k].bound, 1.0)))
-        else:
-            if eta_t[k] > 0.0:
-                kinds.append((eta_t[k], cons[2 * k].bound))
-            if eta_s[k] > 0.0:
-                kinds.append((eta_s[k], 1.0))
-        for eta_k, bound in kinds:
-            coeff = eta_k * cut.grad * dvec
-            base = np.zeros(2 * g)
-            base[g:] = coeff
-            row_p = base.copy()
-            row_p[:g] = dvec
-            row_m = base.copy()
-            row_m[:g] = -dvec
-            rhs = bound - eta_k * intercept
-            rows_a.append(np.vstack([row_p, row_m]))
-            rows_b.append(np.array([rhs - off[k], rhs + off[k]]))
-
-    return np.vstack(rows_a), np.concatenate(rows_b)
+    a_in = np.vstack([np.hstack([dmat, zeros]), np.hstack([-dmat, zeros]), cut_rows])
+    b_in = np.concatenate(
+        [cap - off, cap + off, np.column_stack([rhs - off[k], rhs + off[k]]).ravel()]
+    )
+    return a_in, b_in
 
 
 def solve_cc_opf(
@@ -312,9 +276,7 @@ def solve_cc_opf(
     loop does not settle within max_iter iterations.
     """
     g, m = net.n_gen, net.n_line
-    cons = build_conic_constraints(net, chance)
-    eta_t = np.array([cons[2 * k].eta for k in range(m)])
-    eta_s = np.array([cons[2 * k + 1].eta for k in range(m)])
+    table = build_conic_constraints(net, chance)
     eta_g = np.array([eta(e) for e in chance.eps_gen])
 
     sigma_tot_sq = float(np.sum(net.wind_sigma**2))
@@ -346,18 +308,13 @@ def solve_cc_opf(
     hi = np.concatenate([hi_p, np.full(g, np.inf)])
     c3_total = float(np.sum(net.cost_const))
 
-    cuts: list[Cut] = []
-    for k in range(m):
-        tangent = _tangent(cons[2 * k], 0.0, 0)
-        if tangent is not None:
-            cuts.append(tangent)
-
+    cuts: list[Cut] = _tangents(table, np.arange(m), np.zeros(m), 0)
     log: list[IterationRecord] = []
     trace: list[float] = []
     violated_counts: list[int] = []
 
     for it in range(1, max_iter + 1):
-        a_in, b_in = _assemble_inequalities(net, cons, cuts, eta_t, eta_s)
+        a_in, b_in = _assemble_inequalities(table, cuts)
         qp = QuadraticProgram(
             Q=np.diag(quad),
             c=lin,
@@ -374,40 +331,42 @@ def solve_cc_opf(
         if sol.status == ITER_LIMIT:
             raise IterLimitError("QP engine hit its iteration cap", iterations=it)
         dispatch = Dispatch(p=sol.x[:g], alpha=sol.x[g:])
-        viol = np.array([violation(c, dispatch) for c in cons])
+        viol = violations(table, dispatch)
         trace.append(sol.objective + c3_total)
         violated_counts.append(int(np.sum(viol > tol_cut)))
 
         worst = int(np.argmax(viol))
         if viol[worst] <= tol_cut:
-            return _package(
-                net, cons, dispatch, trace, violated_counts, log, cuts, it, viol, sigma_tot
+            return CcSolution(
+                dispatch=dispatch,
+                objective=trace[-1],
+                status="optimal",
+                iterations=it,
+                iteration_log=log,
+                objective_trace=trace,
+                violated_counts=violated_counts,
+                table=table,
+                cuts=cuts,
+                violations=viol,
+                binding_thermal=viol[0::2] >= -1e-6,
+                binding_sync=viol[1::2] >= -1e-6,
+                mean_flow=net.beta * table.mean(dispatch),
             )
 
+        line, kind = worst // 2, _KINDS[worst % 2]
         log.append(
-            IterationRecord(
-                iteration=it,
-                line=cons[worst].line,
-                kind=cons[worst].kind,
-                violation=float(viol[worst]),
-            )
+            IterationRecord(iteration=it, line=line, kind=kind, violation=float(viol[worst]))
         )
         if add_all_violated:
-            lines_to_cut = sorted(
-                {cons[i].line for i in np.flatnonzero(viol > tol_cut)}
-            )
+            lines = np.unique(np.flatnonzero(viol > tol_cut) // 2)
         else:
-            lines_to_cut = [cons[worst].line]
-        for k in lines_to_cut:
-            d_hat = float(cons[2 * k].rowdiff_gen @ dispatch.alpha)
-            tangent = _tangent(cons[2 * k], d_hat, it)
-            if tangent is not None:
-                cuts.append(tangent)
+            lines = np.array([line])
+        cuts += _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
         logger.info(
             "cut iteration %d: line %d %s violation %.3e (%d violated)",
             it,
-            cons[worst].line,
-            cons[worst].kind,
+            line,
+            kind,
             viol[worst],
             violated_counts[-1],
         )
@@ -415,41 +374,4 @@ def solve_cc_opf(
     raise IterLimitError(
         f"cutting-plane loop did not converge in {max_iter} iterations",
         iterations=max_iter,
-    )
-
-
-def _package(net, cons, dispatch, trace, violated_counts, log, cuts, it, viol, sigma_tot):
-    m = net.n_line
-    prob_t = np.array([analytic_violation_prob(cons[2 * k], dispatch) for k in range(m)])
-    prob_s = np.array([analytic_violation_prob(cons[2 * k + 1], dispatch) for k in range(m)])
-    prob_g = np.array(
-        [
-            generator_violation_prob(
-                float(dispatch.p[i]),
-                float(dispatch.alpha[i]),
-                float(net.pmin[i]),
-                float(net.pmax[i]),
-                sigma_tot,
-            )
-            for i in range(net.n_gen)
-        ]
-    )
-    mean_gap = np.array([mean_angle_gap(cons[2 * k], dispatch) for k in range(m)])
-    return CcSolution(
-        dispatch=dispatch,
-        objective=trace[-1],
-        status="optimal",
-        iterations=it,
-        iteration_log=log,
-        objective_trace=trace,
-        violated_counts=violated_counts,
-        constraints=cons,
-        cuts=cuts,
-        violations=viol,
-        binding_thermal=np.array([viol[2 * k] >= -1e-6 for k in range(m)]),
-        binding_sync=np.array([viol[2 * k + 1] >= -1e-6 for k in range(m)]),
-        prob_thermal=prob_t,
-        prob_sync=prob_s,
-        prob_gen=prob_g,
-        mean_flow=net.beta * mean_gap,
     )

@@ -28,16 +28,12 @@ from .case_io import (
     GeneratorReport,
     LineReport,
     SolutionReport,
+    _round_tree,
     parse_case,
     read_report,
     write_report,
 )
-from .cc_opf import (
-    analytic_violation_prob,
-    build_conic_constraints,
-    generator_violation_prob,
-    solve_cc_opf,
-)
+from .cc_opf import analytic_violation_prob, generator_violation_prob, solve_cc_opf
 from .det_opf import barrier_config_from_dc, solve_barrier_opf, solve_dc_opf, solve_scopf
 from .errors import (
     BarrierDivergenceError,
@@ -154,35 +150,33 @@ def _emit(args, payload: bytes) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _report_from_dispatch(net, chance, variant, dispatch, mean_flow,
+def _report_from_dispatch(net, variant, dispatch, mean_flow,
                           binding_t=None, binding_s=None, iterations=(),
                           status="optimal", objective=0.0):
-    cons = build_conic_constraints(net, chance)
+    sens = net.gap_sensitivity
+    mean, spread = sens.mean(dispatch), sens.spread(dispatch)
+    prob_t = analytic_violation_prob(mean, spread, net.pbar / net.beta)
+    prob_s = analytic_violation_prob(mean, spread, 1.0)
     sigma_tot = float(np.sqrt(np.sum(net.wind_sigma**2)))
-    lines = []
-    for k, ln in enumerate(net.lines):
-        lines.append(
-            LineReport(
-                line=k,
-                from_bus=ln.from_bus,
-                to_bus=ln.to_bus,
-                mean_flow=float(mean_flow[k]),
-                prob_thermal=analytic_violation_prob(cons[2 * k], dispatch),
-                prob_sync=analytic_violation_prob(cons[2 * k + 1], dispatch),
-                binding_thermal=bool(binding_t[k]) if binding_t is not None else False,
-                binding_sync=bool(binding_s[k]) if binding_s is not None else False,
-            )
+    prob_g = generator_violation_prob(
+        dispatch.p, dispatch.alpha, net.pmin, net.pmax, sigma_tot
+    )
+    lines = [
+        LineReport(
+            line=k,
+            from_bus=ln.from_bus,
+            to_bus=ln.to_bus,
+            mean_flow=float(mean_flow[k]),
+            prob_thermal=float(prob_t[k]),
+            prob_sync=float(prob_s[k]),
+            binding_thermal=bool(binding_t[k]) if binding_t is not None else False,
+            binding_sync=bool(binding_s[k]) if binding_s is not None else False,
         )
+        for k, ln in enumerate(net.lines)
+    ]
     gens = [
-        GeneratorReport(
-            gen=i,
-            bus=net.generators[i].bus,
-            prob_bounds=generator_violation_prob(
-                float(dispatch.p[i]), float(dispatch.alpha[i]),
-                float(net.pmin[i]), float(net.pmax[i]), sigma_tot,
-            ),
-        )
-        for i in range(net.n_gen)
+        GeneratorReport(gen=i, bus=gen.bus, prob_bounds=float(prob_g[i]))
+        for i, gen in enumerate(net.generators)
     ]
     return SolutionReport(
         variant=variant,
@@ -201,21 +195,22 @@ def cmd_solve(args) -> int:
     if args.variant == "dc":
         res = solve_dc_opf(net)
         report = _report_from_dispatch(
-            net, chance, "dc", res.dispatch, res.flows, objective=res.objective
+            net, "dc", res.dispatch, res.flows, objective=res.objective
         )
     elif args.variant == "scopf":
         res = solve_scopf(net)
         status = "optimal" if res.sync_recovered else "sync-recovery-failed"
         report = _report_from_dispatch(
-            net, chance, "scopf", res.dispatch, res.flows,
+            net, "scopf", res.dispatch, res.flows,
             status=status, objective=res.objective,
         )
     elif args.variant == "barrier":
         cfg = barrier_config_from_dc(net, epsilon=args.epsilon)
         res = solve_barrier_opf(net, cfg, max_outer=max(args.max_iters, 10))
+        status = "optimal" if res.recovery.feasible else "sync-recovery-failed"
         report = _report_from_dispatch(
-            net, chance, "barrier", res.dispatch, net.beta * res.rho,
-            objective=res.cost,
+            net, "barrier", res.dispatch, net.beta * res.rho,
+            status=status, objective=res.cost,
         )
     else:
         sol = solve_cc_opf(
@@ -225,7 +220,7 @@ def cmd_solve(args) -> int:
             add_all_violated=args.add_all_cuts,
         )
         report = _report_from_dispatch(
-            net, chance, "ccopf", sol.dispatch, sol.mean_flow,
+            net, "ccopf", sol.dispatch, sol.mean_flow,
             binding_t=sol.binding_thermal, binding_s=sol.binding_sync,
             iterations=sol.iteration_log, objective=sol.objective,
         )
@@ -279,7 +274,7 @@ def cmd_pf(args) -> int:
         "rho": state.rho.tolist(),
         "flows": state.flows(net).tolist(),
     }
-    _emit(args, (json.dumps(_round_floats(doc), indent=2) + "\n").encode())
+    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
     return EXIT_OK
 
 
@@ -293,7 +288,7 @@ def cmd_validate(args) -> int:
     )
     ok, failures = certify(mc, chance)
     doc = {"certified": ok, "failures": failures, "mc": mc.to_dict()}
-    _emit(args, (json.dumps(_round_floats(doc), indent=2) + "\n").encode())
+    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
@@ -329,18 +324,8 @@ def cmd_risk(args) -> int:
         "omega": res.omega.tolist(),
         "phi": res.phi,
     }
-    _emit(args, (json.dumps(_round_floats(doc), indent=2) + "\n").encode())
+    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
     return EXIT_OK
-
-
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}")
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    return obj
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import List
 
 import numpy as np
 import scipy.linalg
@@ -73,22 +72,13 @@ class ScopfResult(LinearOpfResult):
         return self.recovery is not None and self.recovery.feasible
 
 
-def _flow_rows(net: Network) -> tuple[np.ndarray, np.ndarray]:
-    """Per-line responses: flows = R (M p + w0), with w0 = mu - d."""
-    bred = net.bred
-    rowdiff = bred[net.from_index, :] - bred[net.to_index, :]
-    R = net.beta[:, None] * rowdiff
-    w0 = net.wind_mean - net.demand
-    return R, w0
-
-
 def _linear_opf(net: Network, flow_limit: np.ndarray) -> LinearOpfResult:
     ng = net.n_gen
     Q = np.diag(2.0 * net.cost_quad)
     c = net.cost_lin.copy()
-    R, w0 = _flow_rows(net)
-    RM = R @ net.gen_matrix
-    base = R @ w0
+    sens = net.gap_sensitivity
+    RM = net.beta[:, None] * sens.gen  # flows = RM p + base
+    base = net.beta * sens.offset
     A_in = np.vstack([RM, -RM])
     b_in = np.concatenate([flow_limit - base, flow_limit + base])
     qp = QuadraticProgram(
@@ -225,7 +215,7 @@ class BarrierResult:
     recovery: FlowState
     slacksine_ok: bool
     iterations: int
-    stage_objectives: List[float] = field(default_factory=list)
+    stage_objectives: list[float] = field(default_factory=list)
 
     @property
     def gap(self) -> float:

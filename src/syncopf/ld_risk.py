@@ -49,17 +49,6 @@ class InstantonResult:
     theta: np.ndarray | None = None
 
 
-def _gap_coefficients(net: Network, dispatch: Dispatch, line: int):
-    bred = net.bred
-    rowdiff = bred[net.from_index[line]] - bred[net.to_index[line]]
-    alpha_spread = float(rowdiff @ (net.gen_matrix @ dispatch.alpha))
-    coeff = rowdiff[net.wind_index] - alpha_spread
-    mean_gap = float(
-        rowdiff @ (net.gen_matrix @ dispatch.p + net.wind_mean - net.demand)
-    )
-    return mean_gap, coeff
-
-
 def e_dc_closed_form(
     net: Network, dispatch: Dispatch, line: int, rho_threshold: float
 ) -> InstantonResult:
@@ -70,8 +59,10 @@ def e_dc_closed_form(
     """
     if not 0 <= line < net.n_line:
         raise DomainError(f"line index {line} out of range")
-    mean_gap, coeff = _gap_coefficients(net, dispatch, line)
-    sig = net.wind_sigma[net.wind_index]
+    sens = net.gap_sensitivity
+    mean_gap = float(sens.mean(dispatch)[line])
+    coeff = sens.response(dispatch)[line]
+    sig = sens.sigma
     var_form = float(np.sum(sig**2 * coeff**2))
     if var_form <= 1e-300:
         raise ZeroVarianceError(

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .case_io import ChanceSpec
-from .errors import SyncOpfError
+from .errors import SyncOpfError, ValidationError
 from .network import Dispatch, Network, injection_vector
 from .powerflow import MARGIN, solve_pf
 
@@ -85,17 +85,6 @@ class McReport:
         return doc
 
 
-def _flow_model(net: Network, dispatch: Dispatch):
-    bred = net.bred
-    dmat = bred[net.from_index] - bred[net.to_index]  # m x n
-    mean = dmat @ (
-        net.gen_matrix @ dispatch.p + net.wind_mean - net.demand
-    )
-    response = dmat @ (net.gen_matrix @ dispatch.alpha)
-    coeff = dmat[:, net.wind_index] - response[:, None]
-    return mean, coeff
-
-
 def run_mc(
     net: Network,
     dispatch: Dispatch,
@@ -106,18 +95,28 @@ def run_mc(
     """Sample wind, tally violation frequencies.
 
     nonlinear defaults to True only for n_samples <= 10_000; the sine
-    re-solve is per-sample and priced accordingly.
+    re-solve is per-sample and priced accordingly. Raises
+    ValidationError when the network has wind and the participation
+    factors do not sum to 1, since such a dispatch leaves every wind
+    deviation unbalanced.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    alpha_sum = float(np.sum(dispatch.alpha))
+    if net.wind_index.size and abs(alpha_sum - 1.0) > 1e-6:
+        raise ValidationError(
+            f"participation factors sum to {alpha_sum:.6g}, not 1: the dispatch "
+            "does not balance wind deviations"
+        )
     if nonlinear is None:
         nonlinear = n_samples <= NONLINEAR_DEFAULT_MAX
 
     m, g = net.n_line, net.n_gen
     wind = net.wind_index
     n_w = len(wind)
-    sig = net.wind_sigma[wind]
-    mean, coeff = _flow_model(net, dispatch)
+    sens = net.gap_sensitivity
+    sig = sens.sigma
+    mean, coeff = sens.mean(dispatch), sens.response(dispatch)
     cap_t = net.pbar / net.beta
 
     rng = np.random.Generator(np.random.Philox(key=seed))

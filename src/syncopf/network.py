@@ -129,6 +129,41 @@ class Dispatch:
             raise ValidationError("dispatch: p and alpha must have the same shape")
 
 
+@dataclass(frozen=True)
+class GapSensitivity:
+    """Linear map from a dispatch and the wind to every line's angle gap.
+
+    Under dispatch ``(p, alpha)`` and zero-mean wind ``w`` at the wind
+    buses, the linear-model angle gap of line ``l`` is
+
+        gen[l] @ p + offset[l] + (wind[l] - gen[l] @ alpha) @ w
+
+    Row ``l`` of ``gen`` (m x g) and of ``wind`` (m x n_w) is the
+    difference of the from-bus and to-bus rows of ``Bred`` at the
+    generator and at the wind buses; ``offset`` (m) is the gap caused by
+    the mean wind and the load, and ``sigma`` holds the standard
+    deviations of ``w``.
+    """
+
+    gen: np.ndarray
+    wind: np.ndarray
+    offset: np.ndarray
+    sigma: np.ndarray
+
+    def mean(self, dispatch: Dispatch) -> np.ndarray:
+        """Mean angle gap of every line."""
+        return self.gen @ dispatch.p + self.offset
+
+    def response(self, dispatch: Dispatch) -> np.ndarray:
+        """m x n_w sensitivity of every gap to the wind, net of the
+        generators' affine response."""
+        return self.wind - (self.gen @ dispatch.alpha)[:, None]
+
+    def spread(self, dispatch: Dispatch) -> np.ndarray:
+        """Standard deviation S of every line's angle gap."""
+        return np.linalg.norm(self.sigma * self.response(dispatch), axis=1)
+
+
 class LaplacianOperator:
     """Weighted Laplacian of a connected network with a grounded slack bus.
 
@@ -259,6 +294,7 @@ class Network:
         # map generator outputs to bus injections
         self.gen_matrix = np.zeros((n, ng))
         self.gen_matrix[self.gen_bus_index, np.arange(ng)] = 1.0
+        self._gap_sensitivity: GapSensitivity | None = None
 
     def _check_connected(self) -> None:
         n = self.n_bus
@@ -308,14 +344,24 @@ class Network:
     def bred(self) -> np.ndarray:
         return self.laplacian_op.reduced_inverse()
 
+    @property
+    def gap_sensitivity(self) -> GapSensitivity:
+        """Line angle-gap sensitivities (built on first use, then cached)."""
+        if self._gap_sensitivity is None:
+            bred = self.bred
+            rows = bred[self.from_index] - bred[self.to_index]  # m x n, transient
+            # the columns of gen_matrix are one-hot, so this equals rows @ gen_matrix
+            self._gap_sensitivity = GapSensitivity(
+                gen=rows[:, self.gen_bus_index],
+                wind=rows[:, self.wind_index],
+                offset=rows @ (self.wind_mean - self.demand),
+                sigma=self.wind_sigma[self.wind_index],
+            )
+        return self._gap_sensitivity
+
     def solve_angles(self, q: np.ndarray) -> np.ndarray:
         """Linear-model angles ``Bred @ q`` with the slack grounded at 0."""
         return self.laplacian_op.apply_reduced_inverse(q)
-
-
-def build_laplacian(net: Network) -> LaplacianOperator:
-    """The network's Laplacian operator (built once at construction)."""
-    return net.laplacian_op
 
 
 def injection_vector(net: Network, dispatch: Dispatch, wind: np.ndarray | None = None) -> np.ndarray:

@@ -28,7 +28,7 @@ from syncopf import (
     solve_pf,
 )
 from syncopf.case_io import ChanceSpec, serialize_case
-from syncopf.cc_opf import build_conic_constraints, conic_lhs, eta, mean_angle_gap
+from syncopf.cc_opf import eta
 from syncopf.cli import main
 from syncopf.det_opf import barrier_config_from_dc, solve_barrier_opf, solve_scopf
 from syncopf.ld_risk import e_dc_closed_form
@@ -219,15 +219,14 @@ def test_criterion_5_ld_conic_equivalence():
         total = float(np.sum(net.demand) - np.sum(net.wind_mean))
         disp = Dispatch(p=np.array(rng.dirichlet([2.0, 2.0])) * max(total, 0.1),
                         alpha=np.array(rng.dirichlet([2.0, 2.0])))
-        cons = build_conic_constraints(net, ChanceSpec.uniform(net))
-        spreads = [conic_lhs(cons[2 * k], disp) for k in range(net.n_line)]
+        spreads = net.gap_sensitivity.spread(disp)
         k = int(np.argmax(spreads))
         if spreads[k] <= 1e-8:
             continue
         done += 1
         eps = float(10.0 ** rng.uniform(-6.0, -1.0))
         target = math.log(1.0 / eps)
-        m = mean_angle_gap(cons[2 * k], disp)
+        m = net.gap_sensitivity.mean(disp)[k]
         side = 1.0 if m >= 0 else -1.0
         rho_t = m + side * math.sqrt(2.0 * target) * spreads[k]
         res = e_dc_closed_form(net, disp, k, rho_t)

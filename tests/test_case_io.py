@@ -198,6 +198,14 @@ def test_report_json_round_trip():
     assert back.p == pytest.approx(rep.p)
 
 
+def test_read_report_str_is_json_text(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_bytes(write_report(sample_report(), fmt="json"))
+    assert read_report(path).variant == sample_report().variant
+    with pytest.raises(ParseError):
+        read_report(str(path))  # a str is the JSON text, never a file name
+
+
 def test_report_json_deterministic_and_rounded():
     rep = sample_report()
     a = write_report(rep, fmt="json")

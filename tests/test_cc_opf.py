@@ -12,6 +12,7 @@ from syncopf import (
     Bus,
     ChanceSpec,
     DomainError,
+    GapSensitivity,
     Generator,
     InfeasibleError,
     IterLimitError,
@@ -19,19 +20,17 @@ from syncopf import (
     Network,
     ValidationError,
     build_conic_constraints,
-    conic_lhs,
     eta,
     solve_cc_opf,
     solve_scopf,
 )
 from syncopf.cc_opf import (
-    ConicConstraint,
+    _assemble_inequalities,
+    _tangents,
     analytic_violation_prob,
     expected_cost,
     generator_violation_prob,
-    mean_angle_gap,
     one_sided_violation_probs,
-    violation,
 )
 from syncopf.network import Dispatch
 
@@ -113,66 +112,46 @@ def test_eta_domain():
 
 def test_conic_lhs_two_bus_closed_form():
     net = two_bus_wind(sigma=0.1)
-    cons = build_conic_constraints(net, ChanceSpec.uniform(net))
+    table = build_conic_constraints(net, ChanceSpec.uniform(net))
     disp = Dispatch(p=np.array([0.8]), alpha=np.array([1.0]))
     # rowdiff = (1/beta, 0); wind sensitivity 0, response d = 1/2
-    assert conic_lhs(cons[0], disp) == pytest.approx(0.05, abs=1e-12)
-    assert mean_angle_gap(cons[0], disp) == pytest.approx(0.4, abs=1e-12)
+    assert table.spread(disp)[0] == pytest.approx(0.05, abs=1e-12)
+    assert table.mean(disp)[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_conic_lhs_matches_mc_std():
     net, chance = triangle_wind()
-    cons = build_conic_constraints(net, chance)
+    table = build_conic_constraints(net, chance)
     disp = Dispatch(p=np.array([1.2, 0.85]), alpha=np.array([0.6, 0.4]))
     rng = np.random.default_rng(5)
     w = rng.normal(size=(200_000, 2)) * net.wind_sigma[net.wind_index]
+    mean, spread = table.mean(disp), table.spread(disp)
     for k in range(net.n_line):
-        con = cons[2 * k]
-        gaps = mean_angle_gap(con, disp) + w @ (con.rowdiff_wind - con.rowdiff_gen @ disp.alpha)
+        gaps = mean[k] + w @ (table.wind[k] - table.gen[k] @ disp.alpha)
         s_hat = gaps.std()
-        assert s_hat == pytest.approx(conic_lhs(con, disp), rel=0.02)
+        assert s_hat == pytest.approx(spread[k], rel=0.02)
 
 
 def test_violation_prob_zero_mean():
-    con = ConicConstraint(
-        line=0, kind="thermal", bound=1.0, eta=1.0, mean_offset=0.0,
-        rowdiff_gen=np.zeros(1), rowdiff_wind=np.array([0.5]),
-        sigma_wind=np.array([1.0]),
+    sens = GapSensitivity(
+        gen=np.zeros((1, 1)), wind=np.array([[0.5]]), offset=np.zeros(1),
+        sigma=np.array([1.0]),
     )
     disp = Dispatch(p=np.array([0.0]), alpha=np.array([0.0]))
+    prob = analytic_violation_prob(sens.mean(disp), sens.spread(disp), 1.0)
     # S = 0.5 = bound / 2, mean 0: two-sided prob is 2 Q(2)
-    assert analytic_violation_prob(con, disp) == pytest.approx(0.04550026, abs=1e-7)
+    assert prob[0] == pytest.approx(0.04550026, abs=1e-7)
 
 
 def test_violation_prob_deterministic_limits():
-    con = ConicConstraint(
-        line=0, kind="sync", bound=1.0, eta=2.0, mean_offset=1.5,
-        rowdiff_gen=np.zeros(1), rowdiff_wind=np.array([0.0]),
-        sigma_wind=np.array([0.0]),
+    sens = GapSensitivity(
+        gen=np.zeros((1, 1)), wind=np.array([[0.0]]), offset=np.array([1.5]),
+        sigma=np.array([0.0]),
     )
     disp = Dispatch(p=np.array([0.0]), alpha=np.array([1.0]))
-    assert analytic_violation_prob(con, disp) == 1.0
-    con2 = ConicConstraint(
-        line=0, kind="sync", bound=2.0, eta=2.0, mean_offset=1.5,
-        rowdiff_gen=np.zeros(1), rowdiff_wind=np.array([0.0]),
-        sigma_wind=np.array([0.0]),
-    )
-    assert analytic_violation_prob(con2, disp) == 0.0
-
-
-def test_conic_constraint_validation():
-    with pytest.raises(ValidationError):
-        ConicConstraint(
-            line=0, kind="thermal", bound=0.0, eta=1.0, mean_offset=0.0,
-            rowdiff_gen=np.zeros(1), rowdiff_wind=np.zeros(1),
-            sigma_wind=np.zeros(1),
-        )
-    with pytest.raises(ValidationError):
-        ConicConstraint(
-            line=0, kind="other", bound=1.0, eta=1.0, mean_offset=0.0,
-            rowdiff_gen=np.zeros(1), rowdiff_wind=np.zeros(1),
-            sigma_wind=np.zeros(1),
-        )
+    mean, spread = sens.mean(disp), sens.spread(disp)
+    assert analytic_violation_prob(mean, spread, 1.0)[0] == 1.0
+    assert analytic_violation_prob(mean, spread, 2.0)[0] == 0.0
 
 
 def test_generator_violation_prob_gaussian():
@@ -185,6 +164,45 @@ def test_generator_violation_prob_gaussian():
     )
     assert generator_violation_prob(1.0, 0.0, 0.0, 1.2, 0.4) == 0.0
     assert generator_violation_prob(1.5, 0.0, 0.0, 1.2, 0.4) == 1.0
+
+
+def _assemble_reference(table, cuts):
+    # the per-cut loop that the array code replaced, kept as the reference
+    m, g = table.gen.shape
+    cap = np.minimum(table.bound, 1.0)
+    rows_a = [np.hstack([table.gen, np.zeros((m, g))]), np.hstack([-table.gen, np.zeros((m, g))])]
+    rows_b = [cap - table.offset, cap + table.offset]
+    for cut in cuts:
+        k = cut.line
+        d, off = table.gen[k], table.offset[k]
+        intercept = cut.s_hat - cut.grad * cut.d_hat
+        if abs(table.eta_t[k] - table.eta_s[k]) < 1e-15:
+            kinds = [(table.eta_t[k], min(table.bound[k], 1.0))]
+        else:
+            kinds = [(table.eta_t[k], table.bound[k]), (table.eta_s[k], 1.0)]
+        for eta_k, bound in kinds:
+            if eta_k > 0.0:
+                coeff = eta_k * cut.grad * d
+                rhs = bound - eta_k * intercept
+                rows_a.append(np.vstack([np.hstack([d, coeff]), np.hstack([-d, coeff])]))
+                rows_b.append(np.array([rhs - off, rhs + off]))
+    return np.vstack(rows_a), np.concatenate(rows_b)
+
+
+def test_assembled_rows_match_per_cut_loop():
+    net, _ = triangle_wind()
+    # line 0: two row pairs per cut; line 1: equal budgets share one pair;
+    # line 2: eta_t = 0 leaves only the sync pair
+    chance = ChanceSpec(eps_line=[0.05, 0.05, 0.5], eps_sync=[1e-4, 0.05, 1e-4],
+                        eps_gen=[0.1, 0.1])
+    table = build_conic_constraints(net, chance)
+    lines = np.arange(net.n_line)
+    cuts = _tangents(table, lines, np.zeros(net.n_line), 0)
+    cuts += _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)
+    a_in, b_in = _assemble_inequalities(table, cuts)
+    a_ref, b_ref = _assemble_reference(table, cuts)
+    assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
+    assert a_in.shape[0] == 2 * net.n_line + 2 * (2 + 1 + 1) * 2
 
 
 # --- cutting-plane solve -----------------------------------------------------
@@ -238,7 +256,10 @@ def test_cc_binding_prob_equals_eps_one_sided():
     chance = ChanceSpec.uniform(net, eps_line=0.05, eps_sync=0.0005, eps_gen=0.05)
     sol = solve_cc_opf(net, chance)
     assert sol.binding_thermal[0]
-    upper, lower = one_sided_violation_probs(sol.constraints[0], sol.dispatch)
+    table = sol.table
+    upper, lower = one_sided_violation_probs(
+        table.mean(sol.dispatch)[0], table.spread(sol.dispatch)[0], table.bound[0]
+    )
     assert max(upper, lower) == pytest.approx(0.05, abs=1e-7)
 
 
@@ -257,11 +278,10 @@ def test_cc_cuts_underestimate_s_everywhere():
     rng = np.random.default_rng(17)
     for _ in range(100):
         a = rng.dirichlet(np.ones(net.n_gen))
-        disp = Dispatch(p=sol.dispatch.p, alpha=a)
+        spread = sol.table.spread(Dispatch(p=sol.dispatch.p, alpha=a))
         for cut in sol.cuts:
-            con = sol.constraints[2 * cut.line]
-            d = float(con.rowdiff_gen @ a)
-            assert cut.value(d) <= conic_lhs(con, disp) + 1e-9
+            d = float(sol.table.gen[cut.line] @ a)
+            assert cut.value(d) <= spread[cut.line] + 1e-9
 
 
 def test_cc_add_all_variant_same_optimum():

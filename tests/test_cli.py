@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through main(argv): exit codes,
 report emission, option overrides, and cross-command consistency."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from syncopf import parse_case, read_report, solve_dc_opf
 from syncopf.case_io import read_flow_table, write_report
 from syncopf.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_case(tmp_path, doc, name="case.json"):
@@ -103,7 +106,20 @@ def test_validate_rejects_bad_dispatch(tmp_path, capsys):
     assert any("thermal" in f for f in parsed["failures"])
 
 
-def _report_for(case, p):
+def test_validate_rejects_dispatch_without_wind_response(tmp_path, capsys):
+    # alpha = 0, as solve dc, scopf and barrier report: no generator
+    # balances the wind, so no sample is a balanced injection
+    case = write_case(tmp_path, tree_doc())
+    rep_path = tmp_path / "dc.json"
+    rep_path.write_bytes(write_report(_report_for(case, p=0.8, alpha=0.0), fmt="json"))
+    code, out = run(
+        capsys, ["validate", "--case", case, "--dispatch", str(rep_path), "--samples", "200"]
+    )
+    assert code == 1
+    assert out == ""
+
+
+def _report_for(case, p, alpha=1.0):
     # minimal hand-built report carrying only the dispatch fields
     from syncopf.case_io import GeneratorReport, LineReport, SolutionReport
 
@@ -112,7 +128,7 @@ def _report_for(case, p):
         status="optimal",
         objective=0.0,
         p=[p],
-        alpha=[1.0],
+        alpha=[alpha],
         lines=[LineReport(0, 1, 2, p, 0.0, 0.0)],
         generators=[GeneratorReport(0, 1, 0.0)],
     )
@@ -186,6 +202,39 @@ def test_risk_nonlinear_variant(tmp_path, capsys):
     assert doc["variant"] == "nonlinear"
     # the instances coincide on a tree
     assert doc["energy"] == pytest.approx(json.loads(base)["energy"], rel=1e-6)
+
+
+def test_barrier_flags_capped_recovery(capsys):
+    # on this 20-bus mesh the barrier optimum's sine flow pins at a cap
+    code, out = run(
+        capsys, ["solve", "barrier", "--case", str(DATA / "barrier_recovery_capped.json")]
+    )
+    assert code == 0
+    assert json.loads(out)["status"] == "sync-recovery-failed"
+
+
+def _assert_matches(want, got, path="$"):
+    # non-float fields equal; floats within 1e-12 absolute or 1e-9 relative
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for key in want:
+            _assert_matches(want[key], got[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (w, g) in enumerate(zip(want, got)):
+            _assert_matches(w, g, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        assert abs(got - want) <= max(1e-12, 1e-9 * abs(want)), (path, want, got)
+    else:
+        assert type(got) is type(want) and got == want, (path, want, got)
+
+
+@pytest.mark.parametrize("case", ["case9_wind", "alternation"])
+def test_ccopf_report_matches_golden(case, capsys):
+    code, out = run(capsys, ["solve", "ccopf", "--case", f"cases/{case}.json"])
+    assert code == 0
+    _assert_matches(json.loads((DATA / f"ccopf_{case}.json").read_text()), json.loads(out))
 
 
 def test_missing_case_file(capsys):

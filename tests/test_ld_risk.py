@@ -18,7 +18,6 @@ from syncopf import (
     ld_condition_check,
     nonlinear_instanton,
 )
-from syncopf.ld_risk import _gap_coefficients
 from syncopf.network import Dispatch
 from syncopf.qp import QuadraticProgram, solve_qp
 
@@ -101,7 +100,8 @@ def test_closed_form_matches_qp_solve():
         line = int(rng.integers(net.n_line))
         rho = float(rng.uniform(-0.9, 0.9))
         res = e_dc_closed_form(net, disp, line, rho)
-        mean_gap, coeff = _gap_coefficients(net, disp, line)
+        sens = net.gap_sensitivity
+        mean_gap, coeff = sens.mean(disp)[line], sens.response(disp)[line]
         sig = net.wind_sigma[net.wind_index]
         qp = QuadraticProgram(
             Q=np.diag(1.0 / sig**2),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, run_mc
-from syncopf.cc_opf import analytic_violation_prob, build_conic_constraints
+from syncopf.cc_opf import analytic_violation_prob
 from syncopf.mc import NONLINEAR_DEFAULT_MAX, Z99, ci_halfwidth
 from syncopf.network import Dispatch
 
@@ -78,8 +78,8 @@ def test_frequencies_match_analytic_probability():
     disp = Dispatch(p=np.array([0.8]), alpha=np.array([1.0]))
     n = 200_000
     rep = run_mc(net, disp, n_samples=n, seed=77, nonlinear=False)
-    cons = build_conic_constraints(net, ChanceSpec.uniform(net))
-    want = analytic_violation_prob(cons[0], disp)
+    sens = net.gap_sensitivity
+    want = analytic_violation_prob(sens.mean(disp), sens.spread(disp), net.pbar / net.beta)[0]
     hw = 3.0 * math.sqrt(want * (1 - want) / n)
     assert abs(rep.thermal_freq[0] - want) <= hw
     assert want > 0.01  # the check is vacuous if nothing ever trips
