@@ -164,6 +164,39 @@ class GapSensitivity:
         return np.linalg.norm(self.sigma * self.response(dispatch), axis=1)
 
 
+@dataclass(frozen=True)
+class SpanningTree:
+    """Spanning-tree factorization of flow conservation ``A f = q``.
+
+    ``tree`` holds the arcs of a breadth-first spanning tree rooted at the
+    slack bus and ``chords`` the other arcs, both sorted; ``keep`` indexes
+    the non-slack buses and ``lu`` factors ``T``, the tree columns of the
+    reduced incidence ``A[keep]``. ``T`` is invertible, so the flows that
+    conserve ``q`` are exactly ``particular_flow(q) + chord_map @ y`` over
+    chord flows ``y``: column c of ``chord_map`` is the tree-flow response
+    to a unit flow on chord c, with that unit in place.
+    """
+
+    tree: np.ndarray
+    chords: np.ndarray
+    keep: np.ndarray
+    lu: tuple
+    chord_map: np.ndarray
+
+    def particular_flow(self, q: np.ndarray) -> np.ndarray:
+        """The flow with ``A f = q`` that is zero on every chord."""
+        f = np.zeros(self.chord_map.shape[0])
+        f[self.tree] = scipy.linalg.lu_solve(self.lu, q[self.keep])
+        return f
+
+    def angles(self, gamma: np.ndarray) -> np.ndarray:
+        """Bus angles with ``theta_i - theta_j = gamma_k`` on every tree arc
+        ``k = (i, j)`` and the slack at zero: ``T^T theta[keep] = gamma[tree]``."""
+        theta = np.zeros(self.keep.size + 1)
+        theta[self.keep] = scipy.linalg.lu_solve(self.lu, gamma[self.tree], trans=1)
+        return theta
+
+
 class LaplacianOperator:
     """Weighted Laplacian of a connected network with a grounded slack bus.
 
@@ -281,7 +314,7 @@ class Network:
         self.slack_bus = slack_bus
         self.slack_index = self._index[slack_bus]
 
-        self._check_connected()
+        self._tree_arcs = self._bfs_tree_arcs()
 
         # incidence: +1 at the tail (from) bus, -1 at the head (to) bus
         self.incidence = np.zeros((n, m))
@@ -295,27 +328,32 @@ class Network:
         self.gen_matrix = np.zeros((n, ng))
         self.gen_matrix[self.gen_bus_index, np.arange(ng)] = 1.0
         self._gap_sensitivity: GapSensitivity | None = None
+        self._spanning_tree: SpanningTree | None = None
 
-    def _check_connected(self) -> None:
-        n = self.n_bus
-        if n == 1:
-            return
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for a, b in zip(self.from_index, self.to_index):
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
+    def _bfs_tree_arcs(self) -> list[int]:
+        """Arcs of a breadth-first spanning tree from the slack bus.
+
+        Raises DisconnectedGraphError when some bus is unreachable.
+        """
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_bus)]
+        for k, (a, b) in enumerate(zip(self.from_index.tolist(), self.to_index.tolist())):
+            adj[a].append((b, k))
+            adj[b].append((a, k))
+        seen = np.zeros(self.n_bus, dtype=bool)
+        seen[self.slack_index] = True
+        order, arcs = [self.slack_index], []
+        for v in order:  # order grows while it is walked: a FIFO queue
+            for w, k in adj[v]:
                 if not seen[w]:
                     seen[w] = True
-                    stack.append(w)
+                    order.append(w)
+                    arcs.append(k)
         if not seen.all():
             missing = [self.buses[i].id for i in np.flatnonzero(~seen)]
-            raise DisconnectedGraphError(f"buses unreachable from {self.buses[0].id}: {missing}")
+            raise DisconnectedGraphError(
+                f"buses unreachable from slack bus {self.slack_bus}: {missing}"
+            )
+        return arcs
 
     def bus_index(self, bus_id: int) -> int:
         try:
@@ -358,6 +396,23 @@ class Network:
                 sigma=self.wind_sigma[self.wind_index],
             )
         return self._gap_sensitivity
+
+    @property
+    def spanning_tree(self) -> SpanningTree:
+        """Spanning-tree factorization of conservation (built on first use,
+        then cached)."""
+        if self._spanning_tree is None:
+            in_tree = np.zeros(self.n_line, dtype=bool)
+            in_tree[self._tree_arcs] = True
+            tree, chords = np.flatnonzero(in_tree), np.flatnonzero(~in_tree)
+            keep = np.flatnonzero(np.arange(self.n_bus) != self.slack_index)
+            a_red = self.incidence[keep]
+            lu = scipy.linalg.lu_factor(a_red[:, tree])
+            chord_map = np.zeros((self.n_line, chords.size))
+            chord_map[tree] = scipy.linalg.lu_solve(lu, -a_red[:, chords])
+            chord_map[chords, np.arange(chords.size)] = 1.0
+            self._spanning_tree = SpanningTree(tree, chords, keep, lu, chord_map)
+        return self._spanning_tree
 
     def solve_angles(self, q: np.ndarray) -> np.ndarray:
         """Linear-model angles ``Bred @ q`` with the slack grounded at 0."""

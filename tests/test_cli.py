@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncopf import parse_case, read_report, solve_dc_opf
+from syncopf import parse_case, read_report, solve_dc_opf, solve_pf
 from syncopf.case_io import read_flow_table, write_report
 from syncopf.cli import main
+from syncopf.network import Dispatch, injection_vector
 
 DATA = Path(__file__).parent / "data"
 
@@ -169,6 +170,22 @@ def test_pf_matches_report_flows_on_tree(tmp_path, capsys):
     flows = json.loads(out)["flows"]
     for lr, f in zip(rep.lines, flows):
         assert f == pytest.approx(lr.mean_flow, abs=1e-8)
+
+
+def test_pf_at_golden_alternation_dispatch_converges(capsys):
+    # near this optimum a decrease test on the objective cannot resolve
+    # progress; Newton must still end by its gradient test, at a sine flow
+    # that conserves the injections to rounding
+    report = DATA / "ccopf_alternation.json"
+    code, out = run(capsys, ["pf", "--case", "cases/alternation.json", "--dispatch", str(report)])
+    assert code == 0
+    assert json.loads(out)["iterations"] <= 10
+    net, _ = parse_case("cases/alternation.json")
+    rep = read_report(report)
+    q = injection_vector(net, Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha)))
+    state = solve_pf(net, q)
+    gap = state.theta[net.from_index] - state.theta[net.to_index]
+    assert np.max(np.abs(net.incidence @ (net.beta * np.sin(gap)) - q)) <= 1e-12
 
 
 def test_risk_fields(tmp_path, capsys):

@@ -2,16 +2,20 @@
 analytic probabilities, per-side bookkeeping, tree exactness of the
 nonlinear re-solve, and certification against chance budgets."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, run_mc
+from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, parse_case, read_report, run_mc
 from syncopf.cc_opf import analytic_violation_prob
 from syncopf.mc import NONLINEAR_DEFAULT_MAX, Z99, ci_halfwidth
 from syncopf.network import Dispatch
+from syncopf.powerflow import solve_pf
 
 import syncopf.mc as mc_mod
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_bus(sigma=0.25, pbar=1.1):
@@ -52,6 +56,39 @@ def test_bit_exact_determinism():
     c = run_mc(net, disp, n_samples=300, seed=123, nonlinear=True)
     d = run_mc(net, disp, n_samples=300, seed=123, nonlinear=True)
     assert c.to_dict() == d.to_dict()
+
+
+def _case9_newton_counts(monkeypatch, shift=0.0):
+    """solve_pf iterations of each of 1000 nonlinear case9 samples at the
+    golden report's dispatch, with alpha moved by shift between two
+    generators."""
+    net, _ = parse_case("cases/case9_wind.json")
+    rep = read_report(DATA / "ccopf_case9_wind.json")
+    alpha = np.array(rep.alpha)
+    alpha[:2] += (shift, -shift)
+    counts = []
+
+    def counted(*args, **kwargs):
+        state = solve_pf(*args, **kwargs)
+        counts.append(state.iterations)
+        return state
+
+    monkeypatch.setattr(mc_mod, "solve_pf", counted)
+    report = run_mc(net, Dispatch(p=np.array(rep.p), alpha=alpha), 1000, seed=2026, nonlinear=True)
+    assert report.solve_failures == 0 and len(counts) == 1000
+    return counts
+
+
+def test_case9_nonlinear_solves_take_few_newton_steps(monkeypatch):
+    # near each optimum the objective's decrease is below rounding, so a
+    # step rule that tests only that decrease would never end
+    assert max(_case9_newton_counts(monkeypatch)) <= 10
+
+
+def test_newton_counts_stable_under_last_bit_alpha_shift(monkeypatch):
+    base = _case9_newton_counts(monkeypatch)
+    for shift in (1.5e-14, -1.5e-14):
+        assert _case9_newton_counts(monkeypatch, shift) == base
 
 
 def test_seed_changes_stream():

@@ -3,7 +3,8 @@
 Covers: psi closed form against quadrature, 2-bus forced solutions,
 boundary (loss of synchrony) detection, oracle agreement with an
 independent Newton solve of the sine equations, conservation and
-angle-recovery invariants on random networks, and tree exactness.
+angle-recovery invariants on random networks, tree exactness, Newton
+termination on random meshes, and the cached spanning tree.
 """
 import numpy as np
 import pytest
@@ -59,6 +60,22 @@ def random_net(rng, n, extra_frac=0.5, beta_range=(0.5, 3.0), pbar=50.0):
             target -= 1
     gens = [Generator(bus=1, pmin=0.0, pmax=10.0)]
     return Network(buses, gens, lines)
+
+
+def ring_mesh(rng, n):
+    """A ring of n buses plus up to n/2 random chords, with thermal limits
+    at 0.3 to 1.2 of each line's susceptance."""
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+    seen = {frozenset(pair) for pair in pairs}
+    for _ in range(n // 2):
+        a, b = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        if frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            pairs.append((a, b))
+    beta = rng.uniform(0.5, 3.0, size=len(pairs))
+    lines = [Line(a, b, beta=float(bb), pbar=float(bb * rng.uniform(0.3, 1.2)))
+             for (a, b), bb in zip(pairs, beta)]
+    return Network([Bus(i) for i in range(1, n + 1)], [Generator(bus=1, pmin=0.0, pmax=10.0)], lines)
 
 
 def balanced(rng, n, scale=0.3):
@@ -202,6 +219,37 @@ def test_tree_network_flows_forced():
     assert fs.feasible
     # hand flow solution: line 1-2 carries 0.9, 2-3 carries 0.3, 2-4 0.4
     assert np.allclose(net.beta * fs.rho, [0.9, 0.3, 0.4], atol=1e-12)
+
+
+def test_newton_ends_on_random_meshes():
+    # interior and cap-pinned optima alike end at the gradient tolerance in
+    # a few steps; a stalled solve raises NoConvergenceError and fails here
+    rng = np.random.default_rng(2026)
+    worst = 0
+    for _ in range(150):
+        net = ring_mesh(rng, int(rng.integers(4, 31)))
+        for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
+            q = balanced(rng, net.n_bus, scale=scale)
+            for thermal in (True, False):
+                worst = max(worst, solve_pf(net, q, enforce_thermal_cap=thermal).iterations)
+    assert worst <= 25
+
+
+def test_cached_tree_matches_fresh_network():
+    # one spanning-tree factorization serves every solve on a Network
+    rng = np.random.default_rng(77)
+    net = ring_mesh(rng, 12)
+    jobs = [(balanced(rng, 12, scale=scale), thermal)
+            for scale in (0.3, 1.0, 3.0) for thermal in (True, False)]
+    for k in [*range(len(jobs)), *rng.permutation(len(jobs))]:
+        q, thermal = jobs[k]
+        got = solve_pf(net, q, enforce_thermal_cap=thermal)
+        fresh = Network(net.buses, net.generators, net.lines, slack_bus=net.slack_bus)
+        want = solve_pf(fresh, q, enforce_thermal_cap=thermal)
+        assert np.array_equal(got.rho, want.rho) and np.array_equal(got.theta, want.theta)
+        assert (got.objective, got.iterations, got.boundary_hit) == (
+            want.objective, want.iterations, want.boundary_hit)
+    assert net.spanning_tree is net.spanning_tree
 
 
 # --- energy_function_solve ------------------------------------------------
