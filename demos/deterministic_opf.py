@@ -34,8 +34,7 @@ def main():
     print(f"            cost within allowance of barrier objective: "
           f"{res.recovery_cost_bound_ok(net)}")
     print(f"            dual residual bound holds: {res.lemma_c_ok} "
-          f"(informative only when beta_max <= 1; here beta_max = "
-          f"{np.max(net.beta):.1f})")
+          f"(max eta / bound = {np.max(res.eta / res.eta_bound):.4f})")
 
 
 if __name__ == "__main__":

@@ -193,9 +193,12 @@ class BarrierResult:
     """Primal solution, scaled duals, and certificates of a barrier solve.
 
     theta_hat holds the conservation duals scaled by 1/D and shifted so
-    the slack entry is zero; at the optimum arcsin(rho_k) differs from
-    theta_hat_i - theta_hat_j by at most eta_bound_k per line whenever
-    the separation eps_separation is positive. The certificate gap is
+    the slack entry is zero. Stationarity in delta_k bounds the dual
+    residual eta_k = |arcsin(rho_k) - (theta_hat_i - theta_hat_j)| by
+    phi / (u_k delta_k), so eta_bound = phi / (u eps_separation) with the
+    separation eps_separation = min delta; the bound is tight on the
+    minimum-separation line. residual is the max-norm of the primal-dual
+    residual that ended the last stage. The certificate gap is
     objective - cost; psi is negative strictly inside (-1, 1), so the
     gap can dip below zero by at most d_value * sum(beta) * (pi/2 - 1),
     which recovery_cost_bound_ok accounts for.
@@ -215,6 +218,7 @@ class BarrierResult:
     recovery: FlowState
     slacksine_ok: bool
     iterations: int
+    residual: float
     stage_objectives: list[float] = field(default_factory=list)
 
     @property
@@ -223,8 +227,8 @@ class BarrierResult:
 
     @property
     def lemma_c_ok(self) -> bool:
-        # equality holds on the minimum-separation line when beta_max = 1,
-        # so the check is tolerant to dual roundoff
+        # equality holds on the minimum-separation line, so the check is
+        # tolerant to dual roundoff
         return bool(np.all(self.eta <= self.eta_bound * (1.0 + 1e-6) + 1e-9))
 
     def recovery_cost_bound_ok(self, net: Network) -> bool:
@@ -232,6 +236,156 @@ class BarrierResult:
             math.pi / 2.0 - 1.0
         )
         return self.recovery.feasible and self.cost <= self.objective + allowance + 1e-8
+
+
+@dataclass(frozen=True)
+class _BarrierKkt:
+    """Primal-dual residual and Newton step of the barrier reformulation.
+
+    An iterate is x = (p, rho, delta), the conservation multipliers nu
+    and the multipliers z = (z1, z2, z3, z4, z5) > 0 of the slacks
+    s = (u - rho - u delta, u + rho - u delta, p - pmin, pmax - p, delta)
+    > 0. At barrier parameter t the residual is
+
+        r_d = grad f(x) + E^T nu - J^T z    stationarity, J = ds/dx
+        r_p = E x - (wind_mean - demand)     conservation
+        r_c = z s - tau                      centrality
+
+    with f the objective without its log terms, E x = A (beta rho) - M p,
+    and tau = t on the first 2m + 2g slacks. The formulation's own
+    -D beta phi log(delta) term is carried the same way, as the fixed
+    center tau = D beta phi on delta. No term divides by a slack, so the
+    residual's rounding floor stays put as t -> 0.
+    """
+
+    net: Network
+    D: float
+    phi: float
+
+    def split(self, x: np.ndarray):
+        ng, m = self.net.n_gen, self.net.n_line
+        return x[:ng], x[ng : ng + m], x[ng + m :]
+
+    def objective(self, x: np.ndarray) -> float:
+        p, rho, delta = self.split(x)
+        return generation_cost(self.net, p) + self.D * float(
+            np.sum(self.net.beta * (psi(rho) - self.phi * np.log(delta)))
+        )
+
+    def slacks(self, x: np.ndarray) -> np.ndarray:
+        net = self.net
+        p, rho, delta = self.split(x)
+        u = net.effective_cap
+        return np.concatenate(
+            [u - rho - u * delta, u + rho - u * delta, p - net.pmin, net.pmax - p, delta]
+        )
+
+    def centers(self, t: float) -> np.ndarray:
+        net = self.net
+        return np.concatenate(
+            [np.full(2 * (net.n_line + net.n_gen), t), self.D * self.phi * net.beta]
+        )
+
+    def slack_step(self, dx: np.ndarray) -> np.ndarray:
+        """J dx: the change of the slacks along dx (they are linear in x)."""
+        dp, drho, ddelta = self.split(dx)
+        u = self.net.effective_cap
+        return np.concatenate([-drho - u * ddelta, drho - u * ddelta, dp, -dp, ddelta])
+
+    def _slack_grad(self, w: np.ndarray) -> np.ndarray:
+        """J^T w for one weight per slack."""
+        w1, w2, w3, w4, w5 = np.split(w, self._z_cuts)
+        return np.concatenate([w3 - w4, w2 - w1, w5 - self.net.effective_cap * (w1 + w2)])
+
+    @property
+    def _z_cuts(self):
+        m, ng = self.net.n_line, self.net.n_gen
+        return [m, 2 * m, 2 * m + ng, 2 * m + 2 * ng]
+
+    def residual(self, x, nu, z, t):
+        net = self.net
+        p, rho, delta = self.split(x)
+        beta = net.beta
+        grad = np.concatenate([
+            2.0 * net.cost_quad * p + net.cost_lin - net.gen_matrix.T @ nu,
+            self.D * beta * np.arcsin(rho) + beta * (net.incidence.T @ nu),
+            np.zeros(net.n_line),
+        ])
+        r_d = grad - self._slack_grad(z)
+        r_p = net.incidence @ (beta * rho) - net.gen_matrix @ p - (net.wind_mean - net.demand)
+        return r_d, r_p, z * self.slacks(x) - self.centers(t)
+
+    def step(self, x, z, r_d, r_p, r_c):
+        """Newton direction (dx, dnu, dz) of the residual (r_d, r_p, r_c).
+
+        dz = -(r_c + z ds) / s is eliminated first; that puts z/s on the
+        Hessian's diagonal. The Hessian is then diagonal in p with one
+        2x2 block per line, taken in the line's slack coordinates
+        (ds1, ds2) = (-drho - u ddelta, drho - u ddelta): there it is
+        diag(z1/s1, z2/s2) plus a curvature term, so its huge entries near
+        a cap never cancel. Eliminating p and the blocks leaves the n x n
+        system S dnu = rhs with the SPD matrix
+        S = M diag(1/h_p) M^T + A diag(w) A^T, a weighted Laplacian plus
+        a generator diagonal, factored by Cholesky.
+        """
+        net = self.net
+        rho = self.split(x)[1]
+        u, beta = net.effective_cap, net.beta
+        s = self.slacks(x)
+        sig1, sig2, sig3, sig4, sig5 = np.split(z / s, self._z_cuts)
+        w1, w2, w3, w4, w5 = np.split(r_c / s, self._z_cuts)
+        r_dp, r_drho, r_ddelta = self.split(r_d)
+
+        g_p = r_dp + w3 - w4
+        h_p = 2.0 * net.cost_quad + sig3 + sig4
+        # per line K (ds1, ds2) = -b, K = diag(sig1, sig2)
+        # + cq (1, -1; -1, 1) + cr (1, 1; 1, 1), with det = det K
+        cq = self.D * beta * psi_second(rho) / 4.0
+        cr = sig5 / (4.0 * u * u)
+        det = sig1 * sig2 + (sig1 + sig2) * (cq + cr) + 4.0 * cq * cr
+        r_du = (r_ddelta + w5) / u
+        b1 = w1 - (r_drho + r_du) / 2.0
+        b2 = w2 + (r_drho - r_du) / 2.0
+
+        # b gains beta (A^T dnu) (-1/2, 1/2), so that
+        # drho = (ds2 - ds1) / 2 = drho_free - (w / beta) A^T dnu
+        n, f, to = net.n_bus, net.from_index, net.to_index
+        w = beta * beta * (sig1 + sig2 + 4.0 * cr) / (4.0 * det)
+        S = np.zeros((n, n))
+        np.add.at(S, (f, to), -w)
+        np.add.at(S, (to, f), -w)
+        S[np.diag_indices(n)] += (
+            np.bincount(f, w, n) + np.bincount(to, w, n)
+            + np.bincount(net.gen_bus_index, 1.0 / h_p, n)
+        )
+        drho_free = ((sig2 + 2.0 * cr) * b1 - (sig1 + 2.0 * cr) * b2) / (2.0 * det)
+        rhs = r_p + net.gen_matrix @ (g_p / h_p) + net.incidence @ (beta * drho_free)
+        try:
+            dnu = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), rhs)
+        except scipy.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"barrier Schur complement factorization failed: {exc}")
+
+        half = beta * (net.incidence.T @ dnu) / 2.0
+        b1, b2 = b1 - half, b2 + half
+        ds1 = -((sig2 + cq + cr) * b1 - (cr - cq) * b2) / det
+        ds2 = -((sig1 + cq + cr) * b2 - (cr - cq) * b1) / det
+        dp = (dnu[net.gen_bus_index] - g_p) / h_p
+        ddelta = -(ds1 + ds2) / (2.0 * u)
+        dx = np.concatenate([dp, (ds2 - ds1) / 2.0, ddelta])
+        dz = -(r_c + z * np.concatenate([ds1, ds2, dp, -dp, ddelta])) / s
+        return dx, dnu, dz
+
+
+def _max_norm(parts) -> float:
+    return max(float(np.max(np.abs(v))) for v in parts)
+
+
+def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in (0, 1] that keeps v + a dv at least 1% of v."""
+    neg = dv < 0
+    if not np.any(neg):
+        return 1.0
+    return min(1.0, 0.99 * float(np.min(-v[neg] / dv[neg])))
 
 
 def solve_barrier_opf(
@@ -246,10 +400,19 @@ def solve_barrier_opf(
 
     Variables are (p, rho, delta) with the conservation equalities kept
     explicit so their multipliers (the angle estimates) come out of the
-    KKT system directly. The capacity constraints |rho_k| +- u_k
-    delta_k <= u_k and the generator bounds are handled with a vanishing
-    log barrier; the formulation's own -phi log(delta) term keeps delta
-    positive. Infeasibility of the underlying AC problem surfaces as
+    Newton system directly. The capacity constraints |rho_k| + u_k
+    delta_k <= u_k and the generator bounds carry explicit multipliers
+    z with z s = t on a barrier parameter t that shrinks by 0.15 per
+    stage; the formulation's own -phi log(delta) term is carried the
+    same way with the fixed center D beta phi. Each stage runs Newton steps (see _BarrierKkt.step) with a
+    fraction-to-boundary rule and backtracking on the residual's
+    max-norm until that norm is at most max(tol, 1e-3 t). The stages
+    stop once the interior gap t * n_ineq is at most 1e-6 epsilon
+    cost_floor, a millionth of the certificate's epsilon budget.
+
+    Raises NoConvergenceError when a stage uses up max_inner steps, its
+    line search fails, or max_outer stages end above that gap.
+    Infeasibility of the underlying AC problem surfaces as
     BarrierDivergenceError when the objective passes the ceiling
     (default 1e6 * cost_floor).
     """
@@ -262,148 +425,71 @@ def solve_barrier_opf(
     if np.sum(net.pmin) > need + 1e-9 or np.sum(net.pmax) < need - 1e-9:
         raise InfeasibleError("total generation limits cannot balance the load")
 
-    D = cfg.d_value(net)
-    phi = cfg.phi_value(net)
-    u = net.effective_cap
-    beta = net.beta
+    kkt = _BarrierKkt(net, cfg.d_value(net), cfg.phi_value(net))
     ceiling = divergence_ceiling if divergence_ceiling is not None else 1e6 * cfg.cost_floor
-
-    M = net.gen_matrix
-    E = np.zeros((n, ng + 2 * m))
-    E[:, :ng] = -M
-    E[:, ng : ng + m] = net.incidence * beta
-    rhs = net.wind_mean - net.demand
-
-    sp = slice(0, ng)
-    sr = slice(ng, ng + m)
-    sd = slice(ng + m, ng + 2 * m)
 
     x = np.concatenate([(net.pmin + net.pmax) / 2.0, np.zeros(m), np.full(m, 0.5)])
     nu = np.zeros(n)
-
-    def objective(xv) -> float:
-        p, rho, delta = xv[sp], xv[sr], xv[sd]
-        return generation_cost(net, p) + D * float(
-            np.sum(beta * (psi(rho) - phi * np.log(delta)))
-        )
-
-    def slacks(xv):
-        p, rho, delta = xv[sp], xv[sr], xv[sd]
-        s1 = u - rho - u * delta
-        s2 = u + rho - u * delta
-        s3 = p - net.pmin
-        s4 = net.pmax - p
-        return s1, s2, s3, s4
-
-    def residuals(xv, nuv, t):
-        p, rho, delta = xv[sp], xv[sr], xv[sd]
-        s1, s2, s3, s4 = slacks(xv)
-        g = np.empty(ng + 2 * m)
-        g[sp] = 2.0 * net.cost_quad * p + net.cost_lin - t / s3 + t / s4
-        g[sr] = D * beta * np.arcsin(rho) + t / s1 - t / s2
-        g[sd] = -D * beta * phi / delta + t * u / s1 + t * u / s2
-        r_dual = g + E.T @ nuv
-        r_pri = E @ xv - rhs
-        return r_dual, r_pri
-
     n_ineq = 2 * m + 2 * ng
-    t = max(1.0, abs(objective(x))) / n_ineq
+    t = max(1.0, abs(kkt.objective(x))) / n_ineq
+    z = kkt.centers(t) / kkt.slacks(x)
     iterations = 0
     stage_objectives: list[float] = []
 
-    for outer in range(max_outer):
-        for inner in range(max_inner):
-            iterations += 1
-            p, rho, delta = x[sp], x[sr], x[sd]
-            s1, s2, s3, s4 = slacks(x)
-            r_dual, r_pri = residuals(x, nu, t)
-            rnorm = max(np.max(np.abs(r_dual)), np.max(np.abs(r_pri)))
-            if rnorm <= max(tol, 1e-3 * t):
+    for _ in range(max_outer):
+        res = kkt.residual(x, nu, z, t)
+        rnorm = _max_norm(res)
+        stage_tol = max(tol, 1e-3 * t)
+        for inner in range(max_inner + 1):
+            if rnorm <= stage_tol:
                 break
-
-            H = np.zeros((ng + 2 * m, ng + 2 * m))
-            hp = 2.0 * net.cost_quad + t / s3**2 + t / s4**2
-            H[sp, sp] = np.diag(hp)
-            hrr = D * beta * psi_second(rho) + t / s1**2 + t / s2**2
-            hrd = t * u / s1**2 - t * u / s2**2
-            hdd = D * beta * phi / delta**2 + t * u**2 / s1**2 + t * u**2 / s2**2
-            idx_r = np.arange(ng, ng + m)
-            idx_d = np.arange(ng + m, ng + 2 * m)
-            H[idx_r, idx_r] = hrr
-            H[idx_r, idx_d] = hrd
-            H[idx_d, idx_r] = hrd
-            H[idx_d, idx_d] = hdd
-
-            nv = ng + 2 * m
-            kkt = np.zeros((nv + n, nv + n))
-            kkt[:nv, :nv] = H
-            kkt[:nv, nv:] = E.T
-            kkt[nv:, :nv] = E
-            rhs_vec = -np.concatenate([r_dual, r_pri])
-            try:
-                sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(kkt), rhs_vec)
-            except (scipy.linalg.LinAlgError, ValueError) as exc:
-                raise NoConvergenceError(f"barrier KKT factorization failed: {exc}")
-            dx, dnu = sol[:nv], sol[nv:]
-
-            # fraction to boundary on every strict inequality
-            alpha = 1.0
-            for s_val, grad_dir in (
-                (s1, -dx[sr] - u * dx[sd]),
-                (s2, dx[sr] - u * dx[sd]),
-                (s3, dx[sp]),
-                (s4, -dx[sp]),
-                (delta, dx[sd]),
-            ):
-                neg = grad_dir < 0
-                if np.any(neg):
-                    alpha = min(alpha, 0.99 * float(np.min(-s_val[neg] / grad_dir[neg])))
-
-            ok = False
+            if inner == max_inner:
+                raise NoConvergenceError(
+                    f"barrier stage at t={t:.3e} left residual {rnorm:.3e} "
+                    f"after {max_inner} Newton steps"
+                )
+            iterations += 1
+            dx, dnu, dz = kkt.step(x, z, *res)
+            alpha = _fraction_to_boundary(
+                np.concatenate([kkt.slacks(x), z]), np.concatenate([kkt.slack_step(dx), dz])
+            )
             for _ in range(50):
-                x_try = x + alpha * dx
-                nu_try = nu + alpha * dnu
-                rd, rp = residuals(x_try, nu_try, t)
-                new_norm = max(np.max(np.abs(rd)), np.max(np.abs(rp)))
-                if new_norm <= (1.0 - 0.01 * alpha) * rnorm + 1e-15:
-                    ok = True
+                trial = (x + alpha * dx, nu + alpha * dnu, z + alpha * dz)
+                res = kkt.residual(*trial, t)
+                new_norm = _max_norm(res)
+                if rnorm - new_norm >= 0.01 * alpha * rnorm:
                     break
                 alpha *= 0.5
-            if not ok:
-                break
-            x, nu = x_try, nu_try
+            else:
+                raise NoConvergenceError(
+                    f"barrier line search failed at t={t:.3e} with residual {rnorm:.3e}"
+                )
+            (x, nu, z), rnorm = trial, new_norm
 
-            if objective(x) > ceiling:
+            if kkt.objective(x) > ceiling:
                 raise BarrierDivergenceError(
                     f"barrier objective exceeded ceiling {ceiling:.3e}; "
                     "underlying problem is at or beyond synchronization limits"
                 )
-        stage_objectives.append(objective(x))
-        gap = t * n_ineq
-        if gap <= 1e-11 * max(1.0, cfg.cost_floor):
+        stage_objectives.append(kkt.objective(x))
+        if t * n_ineq <= 1e-6 * cfg.epsilon * cfg.cost_floor:
             break
         t *= 0.15
-
-    r_dual, r_pri = residuals(x, nu, 0.0)
-    if np.max(np.abs(r_pri)) > 1e-7:
+    else:
         raise NoConvergenceError(
-            f"barrier solve left conservation residual {np.max(np.abs(r_pri)):.3e}"
+            f"barrier gap {t * n_ineq / 0.15:.3e} still open after {max_outer} stages"
         )
 
-    p_hat, rho_hat, delta_hat = x[sp].copy(), x[sr].copy(), x[sd].copy()
-    k_hat = objective(x)
+    p_hat, rho_hat, delta_hat = (v.copy() for v in kkt.split(x))
     cost = generation_cost(net, p_hat)
 
-    theta_hat = -nu / D
+    theta_hat = -nu / kkt.D
     theta_hat = theta_hat - theta_hat[net.slack_index]
 
     diff = theta_hat[net.from_index] - theta_hat[net.to_index]
     eta = np.abs(np.arcsin(rho_hat) - diff)
-    eps_sep = float(np.min(1.0 - np.abs(rho_hat) / u))
-    with np.errstate(divide="ignore"):
-        eta_bound = 1.0 / (
-            m * u * max(eps_sep, 1e-300) * math.log(1.0 / cfg.epsilon)
-        )
+    eps_sep = float(np.min(delta_hat))
+    eta_bound = kkt.phi / (net.effective_cap * eps_sep)
     sine_residual = np.abs(rho_hat - np.sin(diff))
 
     q = injection_vector(net, Dispatch(p=p_hat, alpha=np.zeros(ng)))
@@ -415,7 +501,7 @@ def solve_barrier_opf(
                     recovery.theta[net.from_index] - recovery.theta[net.to_index]
                 )
             )
-            <= (1.0 - cfg.epsilon) * u + 1e-12
+            <= (1.0 - cfg.epsilon) * net.effective_cap + 1e-12
         )
     )
 
@@ -424,7 +510,7 @@ def solve_barrier_opf(
         rho=rho_hat,
         delta=delta_hat,
         theta_hat=theta_hat,
-        objective=k_hat,
+        objective=kkt.objective(x),
         cost=cost,
         config=cfg,
         eps_separation=eps_sep,
@@ -434,5 +520,6 @@ def solve_barrier_opf(
         recovery=recovery,
         slacksine_ok=slack_ok,
         iterations=iterations,
+        residual=rnorm,
         stage_objectives=stage_objectives,
     )

@@ -254,6 +254,25 @@ def test_ccopf_report_matches_golden(case, capsys):
     _assert_matches(json.loads((DATA / f"ccopf_{case}.json").read_text()), json.loads(out))
 
 
+@pytest.mark.parametrize(
+    "case, golden",
+    [("cases/case9_wind.json", "barrier_case9_wind.json"),
+     (str(DATA / "mesh100.json"), "barrier_mesh100.json")],
+)
+def test_barrier_report_matches_golden(case, golden, capsys):
+    # frozen from the previous barrier solver, whose last stages never met
+    # their tolerance, so only the cost and the dispatch are held tightly
+    code, out = run(capsys, ["solve", "barrier", "--case", case])
+    assert code == 0
+    want, got = json.loads((DATA / golden).read_text()), json.loads(out)
+    assert list(got) == list(want)
+    assert (got["variant"], got["status"]) == (want["variant"], want["status"])
+    assert len(got["lines"]) == len(want["lines"])
+    assert abs(got["objective"] - want["objective"]) <= 1e-9 * abs(want["objective"])
+    assert np.max(np.abs(np.subtract(got["dispatch"]["p"], want["dispatch"]["p"]))) <= 1e-5
+    assert got["dispatch"]["alpha"] == want["dispatch"]["alpha"]
+
+
 def test_missing_case_file(capsys):
     code, _ = run(capsys, ["solve", "dc", "--case", "nowhere.json"])
     assert code == 1

@@ -3,14 +3,18 @@
 Covers: hand-solvable 2-bus dispatches, infeasibility detection, a
 brute-force grid-search oracle for the 3-bus DC-OPF, SCOPF dominance
 and tree exactness, and the barrier solve's certificates (cost bound,
-angle-from-dual recovery, separation, divergence on loaded lines).
+angle-from-dual recovery, separation, divergence on loaded lines), its
+honest termination, and its Schur-complement Newton step against a
+dense solve of the unreduced primal-dual system.
 """
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from syncopf import Bus, Generator, InfeasibleError, Line, Network
+from syncopf import Bus, Generator, InfeasibleError, Line, Network, parse_case
+import syncopf.det_opf as det_opf
 from syncopf.det_opf import (
     BarrierConfig,
     barrier_config_from_dc,
@@ -19,9 +23,13 @@ from syncopf.det_opf import (
     solve_dc_opf,
     solve_scopf,
 )
-from syncopf.errors import BarrierDivergenceError
+from syncopf.errors import BarrierDivergenceError, NoConvergenceError
 from syncopf.network import injection_vector
-from syncopf.powerflow import solve_pf
+from syncopf.powerflow import psi_second, solve_pf
+
+ROOT = Path(__file__).parent.parent
+CASE9 = ROOT / "cases" / "case9_wind.json"
+MESH100 = ROOT / "tests" / "data" / "mesh100.json"  # the barrier benchmark's grid
 
 
 def two_bus(pbar=2.0, d2=0.5, c1=1.0, c2=0.0):
@@ -199,6 +207,96 @@ def test_barrier_stage_objectives_nonincreasing():
     res = solve_barrier_opf(net, cfg)
     stages = np.array(res.stage_objectives)
     assert np.all(np.diff(stages) <= 1e-9)
+
+
+@pytest.mark.parametrize("case", [CASE9, MESH100], ids=["case9", "mesh100"])
+def test_barrier_stages_end_converged(case):
+    net, _ = parse_case(case)
+    res = solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01))
+    # fewer Newton steps in all than one stage's max_inner (100), so no
+    # stage can have reached it
+    assert res.iterations < 100
+    assert res.residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "limit", [{"max_inner": 1}, {"max_outer": 3}], ids=["max_inner", "max_outer"]
+)
+def test_barrier_exhausted_limit_raises(limit):
+    net, _ = parse_case(CASE9)
+    with pytest.raises(NoConvergenceError):
+        solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01), **limit)
+
+
+@pytest.mark.parametrize("case", [CASE9, MESH100], ids=["case9", "mesh100"])
+def test_barrier_dual_residual_bound_holds_and_is_tight(case):
+    # beta_max is 17.4 on case9 and 20.0 on the mesh: the bound must hold
+    # beyond beta_max <= 1, and bind on the minimum-separation line
+    net, _ = parse_case(case)
+    res = solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01))
+    assert np.max(net.beta) > 10.0
+    assert res.lemma_c_ok
+    assert np.max(res.eta / res.eta_bound) >= 0.999
+    assert res.eps_separation == np.min(res.delta)
+
+
+def _unreduced_step(kkt, x, z, residual):
+    """Dense solve of the full primal-dual Newton system in (dx, dnu, dz)."""
+    net = kkt.net
+    ng, m, n = net.n_gen, net.n_line, net.n_bus
+    rho = x[ng : ng + m]
+    u = net.effective_cap
+    nx = ng + 2 * m
+    ns = 3 * m + 2 * ng
+    hess = np.diag(np.concatenate(
+        [2.0 * net.cost_quad, kkt.D * net.beta * psi_second(rho), np.zeros(m)]
+    ))
+    eq = np.hstack([-net.gen_matrix, net.incidence * net.beta, np.zeros((n, m))])
+    # slack Jacobian for (u - rho - u delta, u + rho - u delta, p - pmin, pmax - p, delta)
+    jac = np.zeros((ns, nx))
+    lines, gens = np.arange(m), np.arange(ng)
+    jac[lines, ng + lines] = -1.0
+    jac[lines, ng + m + lines] = -u
+    jac[m + lines, ng + lines] = 1.0
+    jac[m + lines, ng + m + lines] = -u
+    jac[2 * m + gens, gens] = 1.0
+    jac[2 * m + ng + gens, gens] = -1.0
+    jac[2 * m + 2 * ng + lines, ng + m + lines] = 1.0
+    kkt_matrix = np.block([
+        [hess, eq.T, -jac.T],
+        [eq, np.zeros((n, n)), np.zeros((n, ns))],
+        [z[:, None] * jac, np.zeros((ns, n)), np.diag(kkt.slacks(x))],
+    ])
+    sol = np.linalg.solve(kkt_matrix, -np.concatenate(residual))
+    return sol[:nx], sol[nx : nx + n], sol[nx + n :]
+
+
+@pytest.mark.parametrize("cap_gap", [None, 1e-9], ids=["interior", "near-cap"])
+def test_barrier_schur_step_matches_unreduced_kkt_solve(cap_gap):
+    # near-cap: a fifth of the lines sit cap_gap below their cap with
+    # z1 = 1e3, as late in a solve; eliminating the 2x2 blocks in (rho,
+    # delta) rather than in slack coordinates loses six digits there
+    net, _ = parse_case(MESH100)
+    cfg = barrier_config_from_dc(net, epsilon=0.01)
+    kkt = det_opf._BarrierKkt(net, cfg.d_value(net), cfg.phi_value(net))
+    ng, m = net.n_gen, net.n_line
+    rng = np.random.default_rng(2013)
+    delta = rng.uniform(0.05, 0.6, m)
+    rho = net.effective_cap * (1.0 - delta) * rng.uniform(-0.95, 0.95, m)
+    z = rng.uniform(0.01, 5.0, 3 * m + 2 * ng)
+    if cap_gap is not None:
+        near = rng.random(m) < 0.2
+        rho[near] = net.effective_cap[near] * (1.0 - delta[near]) - cap_gap
+        z[:m][near] = 1e3
+    x = np.concatenate([
+        net.pmin + rng.uniform(0.05, 0.95, ng) * (net.pmax - net.pmin), rho, delta
+    ])
+    nu = rng.normal(size=net.n_bus)
+    residual = kkt.residual(x, nu, z, 1e-3)
+    got = kkt.step(x, z, *residual)
+    want = _unreduced_step(kkt, x, z, residual)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-10 * np.linalg.norm(w)
 
 
 def test_barrier_infeasible_balance():
