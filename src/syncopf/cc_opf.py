@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
 from .case_io import ChanceSpec, IterationRecord
 from .errors import DomainError, InfeasibleError, IterLimitError, ValidationError
@@ -49,47 +49,19 @@ from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
-_TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 _KINDS = ("thermal", "sync")  # order of each line's pair of rows in violations()
 
 
-def eta(eps: float, tol: float = 1e-12) -> float:
+def eta(eps: float) -> float:
     """Gaussian tail multiplier: P(Z > eta) = eps for standard normal Z.
 
-    Solves erfc(z / sqrt(2)) = 2 eps by safeguarded Newton (bisection
-    fallback keeps the iterate inside a maintained bracket) to 1e-12
-    relative accuracy. Defined for eps in (0, 0.5]; eta(0.5) = 0.
+    Defined for eps in (0, 0.5]; eta(0.5) = 0. -ndtri(eps) avoids the
+    cancellation of ndtri(1 - eps) at small eps.
     """
     eps = float(eps)
     if not 0.0 < eps <= 0.5:
         raise DomainError(f"eta requires eps in (0, 0.5], got {eps}")
-    if eps == 0.5:
-        return 0.0
-    target = 2.0 * eps
-    lo, hi = 0.0, 1.0
-    while erfc(hi) > target:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e3:  # pragma: no cover - erfc underflows long before this
-            break
-    z = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = erfc(z) - target
-        if f == 0.0:
-            break
-        if f > 0.0:  # erfc too large, z too small
-            lo = z
-        else:
-            hi = z
-        fp = -_TWO_OVER_SQRT_PI * math.exp(-z * z)
-        step = f / fp if fp != 0.0 else 0.0
-        z_new = z - step
-        if not lo < z_new < hi:
-            z_new = 0.5 * (lo + hi)
-        if abs(z_new - z) <= tol * max(1.0, abs(z_new)):
-            z = z_new
-            break
-        z = z_new
-    return _SQRT2 * z
+    return 0.0 - float(ndtri(eps))  # +0.0, not -0.0, at eps = 0.5
 
 
 def _qfun(x):
@@ -122,8 +94,8 @@ def build_conic_constraints(net: Network, chance: ChanceSpec) -> ConicTable:
         offset=sens.offset,
         sigma=sens.sigma,
         bound=net.pbar / net.beta,
-        eta_t=np.array([eta(e) for e in chance.eps_line]),
-        eta_s=np.array([eta(e) for e in chance.eps_sync]),
+        eta_t=-ndtri(chance.eps_line),
+        eta_s=-ndtri(chance.eps_sync),
     )
 
 
@@ -277,7 +249,7 @@ def solve_cc_opf(
     """
     g, m = net.n_gen, net.n_line
     table = build_conic_constraints(net, chance)
-    eta_g = np.array([eta(e) for e in chance.eps_gen])
+    eta_g = -ndtri(chance.eps_gen)
 
     sigma_tot_sq = float(np.sum(net.wind_sigma**2))
     sigma_tot = math.sqrt(sigma_tot_sq)

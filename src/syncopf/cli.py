@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=0.01,
                     help="barrier relative suboptimality target")
     sp.add_argument("--tol-cut", type=float, default=1e-7)
-    sp.add_argument("--max-iters", type=int, default=200)
+    sp.add_argument("--max-iters", type=int, default=200,
+                    help="ccopf: cap on cutting-plane iterations (other variants ignore it)")
     sp.add_argument("--add-all-cuts", action="store_true",
                     help="cut every violated line each iteration")
     sp.add_argument("--emit-plot-data", metavar="FILE",
@@ -206,7 +207,7 @@ def cmd_solve(args) -> int:
         )
     elif args.variant == "barrier":
         cfg = barrier_config_from_dc(net, epsilon=args.epsilon)
-        res = solve_barrier_opf(net, cfg, max_outer=max(args.max_iters, 10))
+        res = solve_barrier_opf(net, cfg)
         status = "optimal" if res.recovery.feasible else "sync-recovery-failed"
         report = _report_from_dispatch(
             net, "barrier", res.dispatch, net.beta * res.rho,

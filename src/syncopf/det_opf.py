@@ -28,7 +28,6 @@ from .errors import (
     BarrierDivergenceError,
     InfeasibleError,
     NoConvergenceError,
-    SyncRecoveryFailedError,
     ValidationError,
 )
 from .network import Dispatch, Network, injection_vector
@@ -36,6 +35,8 @@ from .powerflow import MARGIN, FlowState, psi, psi_second, solve_pf
 from .qp import INFEASIBLE, OPTIMAL, QuadraticProgram, solve_qp
 
 logger = logging.getLogger(__name__)
+
+DIVERGENCE_FACTOR = 1e6  # the barrier diverges once its objective passes this times C
 
 
 def generation_cost(net: Network, p: np.ndarray) -> float:
@@ -65,11 +66,11 @@ class LinearOpfResult:
 
 @dataclass
 class ScopfResult(LinearOpfResult):
-    recovery: FlowState | None = None
+    recovery: FlowState
 
     @property
     def sync_recovered(self) -> bool:
-        return self.recovery is not None and self.recovery.feasible
+        return self.recovery.feasible
 
 
 def _linear_opf(net: Network, flow_limit: np.ndarray) -> LinearOpfResult:
@@ -116,39 +117,26 @@ def solve_dc_opf(net: Network) -> LinearOpfResult:
     return _linear_opf(net, net.pbar.copy())
 
 
-def solve_scopf(
-    net: Network, margin: float = MARGIN, recover: bool = True, strict: bool = False
-) -> ScopfResult:
+def solve_scopf(net: Network, margin: float = MARGIN) -> ScopfResult:
     """DC-OPF with synchronization-aware angle caps.
 
     The per-line flow limit becomes beta * (min(pbar/beta, 1) - margin),
     which under the linear model bounds |theta_i - theta_j| by the
-    effective capacity. When recover is set, the nonlinear power flow is
-    solved at the resulting injections and attached; with strict=True a
-    failed recovery raises SyncRecoveryFailedError (carrying the result
-    in its .result attribute) instead of returning quietly.
+    effective capacity. The nonlinear power flow is solved at the
+    resulting injections and attached as recovery; sync_recovered tells
+    whether it stayed off every cap.
     """
     limit = net.beta * (net.effective_cap - margin)
     lin = _linear_opf(net, limit)
-    result = ScopfResult(
+    return ScopfResult(
         dispatch=lin.dispatch,
         theta=lin.theta,
         flows=lin.flows,
         objective=lin.objective,
         duals_balance=lin.duals_balance,
         duals_flow=lin.duals_flow,
+        recovery=solve_pf(net, injection_vector(net, lin.dispatch)),
     )
-    if recover:
-        q = injection_vector(net, lin.dispatch)
-        result.recovery = solve_pf(net, q)
-        if strict and not result.recovery.feasible:
-            err = SyncRecoveryFailedError(
-                "linear sync-constrained solution exists but nonlinear recovery "
-                "hit a |rho| cap"
-            )
-            err.result = result
-            raise err
-    return result
 
 
 @dataclass(frozen=True)
@@ -394,7 +382,6 @@ def solve_barrier_opf(
     tol: float = 1e-10,
     max_outer: int = 80,
     max_inner: int = 100,
-    divergence_ceiling: float | None = None,
 ) -> BarrierResult:
     """Solve the barrier reformulation by a primal-dual interior method.
 
@@ -413,8 +400,8 @@ def solve_barrier_opf(
     Raises NoConvergenceError when a stage uses up max_inner steps, its
     line search fails, or max_outer stages end above that gap.
     Infeasibility of the underlying AC problem surfaces as
-    BarrierDivergenceError when the objective passes the ceiling
-    (default 1e6 * cost_floor).
+    BarrierDivergenceError when the objective passes
+    DIVERGENCE_FACTOR * cost_floor.
     """
     n, m, ng = net.n_bus, net.n_line, net.n_gen
     if np.any(net.pmax - net.pmin < 1e-9):
@@ -426,7 +413,7 @@ def solve_barrier_opf(
         raise InfeasibleError("total generation limits cannot balance the load")
 
     kkt = _BarrierKkt(net, cfg.d_value(net), cfg.phi_value(net))
-    ceiling = divergence_ceiling if divergence_ceiling is not None else 1e6 * cfg.cost_floor
+    ceiling = DIVERGENCE_FACTOR * cfg.cost_floor
 
     x = np.concatenate([(net.pmin + net.pmax) / 2.0, np.zeros(m), np.full(m, 0.5)])
     nu = np.zeros(n)

@@ -41,14 +41,6 @@ class InfeasibleError(SyncOpfError):
     """An optimization problem has an empty feasible set."""
 
 
-class SyncRecoveryFailedError(SyncOpfError):
-    """A linear sync-constrained solution exists but the nonlinear
-    recovery pinned at a |rho| cap. Carries the linear result in
-    .result for inspection."""
-
-    result = None
-
-
 class IterLimitError(SyncOpfError):
     """An iterative method hit its iteration cap before converging."""
 

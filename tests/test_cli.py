@@ -273,6 +273,17 @@ def test_barrier_report_matches_golden(case, golden, capsys):
     assert got["dispatch"]["alpha"] == want["dispatch"]["alpha"]
 
 
+def test_barrier_ignores_max_iters(capsys):
+    # --max-iters caps ccopf's cut iterations; the barrier keeps its own
+    # stage count, so a small cap leaves its report unchanged
+    argv = ["solve", "barrier", "--case", "cases/case9_wind.json"]
+    code, want = run(capsys, argv)
+    assert code == 0
+    code, got = run(capsys, argv + ["--max-iters", "5"])
+    assert code == 0
+    assert got == want
+
+
 def test_missing_case_file(capsys):
     code, _ = run(capsys, ["solve", "dc", "--case", "nowhere.json"])
     assert code == 1

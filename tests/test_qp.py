@@ -2,7 +2,8 @@
 
 Covers: hand-checked KKT examples, dual sign conventions, infeasibility
 detection, semidefinite regularization, randomized KKT certification,
-and inactive-constraint removal invariance.
+inactive-constraint removal invariance, and feasible ill-conditioned
+problems with dependent rows.
 """
 import numpy as np
 import pytest
@@ -174,6 +175,35 @@ def test_deterministic_repeat():
     assert np.array_equal(a.x, b.x)
     assert a.objective == b.objective
     assert a.iterations == b.iterations
+
+
+def _ill_conditioned_qp(n, seed):
+    # Q has condition number 1e7; the first m/4 rows of A are scaled copies
+    # of the last m/4, and A x0 <= b holds with equality on about half the
+    # rows, so the problem is feasible with many dependent active candidates
+    rng = np.random.default_rng(seed)
+    m = 4 * n
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    Q = U @ np.diag(np.geomspace(1.0, 1e7, n)) @ U.T
+    c = rng.normal(size=n)
+    x0 = rng.normal(size=n)
+    A = rng.normal(size=(m, n))
+    A[: m // 4] = rng.uniform(0.5, 2.0, size=(m // 4, 1)) * A[-(m // 4):]
+    b = A @ x0 + rng.uniform(0.0, 1e-3, size=m) * (rng.random(m) < 0.5)
+    return QuadraticProgram(Q=0.5 * (Q + Q.T), c=c, A_in=A, b_in=b), x0
+
+
+@pytest.mark.parametrize("n, seed", [(4, 147), (6, 74), (8, 117), (8, 195), (10, 84)])
+def test_ill_conditioned_dependent_rows_solve_to_optimal(n, seed):
+    # with the normal equations N Q^-1 N' formed at every step, four of these
+    # read Infeasible and (8, 195) ended with a KKT residual of 1.2e-3
+    qp, x0 = _ill_conditioned_qp(n, seed)
+    assert np.all(qp.A_in @ x0 <= qp.b_in)
+    sol = solve_qp(qp)
+    assert sol.status == OPTIMAL
+    assert sol.kkt_residual <= 1e-8
+    at_x0 = 0.5 * x0 @ qp.Q @ x0 + qp.c @ x0
+    assert sol.objective <= at_x0 + 1e-12 * abs(at_x0)
 
 
 def test_dimension_validation():
