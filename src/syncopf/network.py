@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -183,10 +184,20 @@ class SpanningTree:
     lu: tuple
     chord_map: np.ndarray
 
+    @cached_property
+    def tree_inverse(self) -> np.ndarray:
+        """``T^-1``, so that a stack of injection vectors solves as stacked
+        products, each row on its own."""
+        return scipy.linalg.lu_solve(self.lu, np.eye(self.keep.size))
+
     def particular_flow(self, q: np.ndarray) -> np.ndarray:
-        """The flow with ``A f = q`` that is zero on every chord."""
-        f = np.zeros(self.chord_map.shape[0])
-        f[self.tree] = scipy.linalg.lu_solve(self.lu, q[self.keep])
+        """The flow with ``A f = q`` that is zero on every chord, for each
+        row of an (S, n) stack of injection vectors."""
+        f = np.zeros((q.shape[0], self.chord_map.shape[0]))
+        # take, unlike q[:, keep], gives C order for every S, so that the
+        # products below take the same path whatever the stack's size
+        q_keep = np.take(q, self.keep, axis=1)
+        f[:, self.tree] = (self.tree_inverse @ q_keep[:, :, None])[:, :, 0]
         return f
 
     def angles(self, gamma: np.ndarray) -> np.ndarray:
@@ -423,7 +434,8 @@ def injection_vector(net: Network, dispatch: Dispatch, wind: np.ndarray | None =
     """Net bus injections under a dispatch and a wind realization.
 
     ``wind`` is the vector of zero-mean fluctuations per bus (defaults
-    to zero). The affine response subtracts ``alpha * sum(wind)`` from
+    to zero), or an (S, n) stack of them that gives one injection vector
+    per row. The affine response subtracts ``alpha * sum(wind)`` from
     each generator, so the result sums to zero whenever the setpoints
     balance the mean load: sum(p) == sum(demand - wind_mean).
     """
@@ -434,8 +446,13 @@ def injection_vector(net: Network, dispatch: Dispatch, wind: np.ndarray | None =
     if wind is None:
         wind = np.zeros(net.n_bus)
     wind = np.asarray(wind, dtype=float)
-    if wind.shape != (net.n_bus,):
+    if wind.shape[-1:] != (net.n_bus,):
         raise DimensionMismatchError(f"wind vector length {wind.shape} != ({net.n_bus},)")
-    total = wind.sum()
-    gen_out = dispatch.p - dispatch.alpha * total
-    return net.gen_matrix @ gen_out + net.wind_mean + wind - net.demand
+    total = wind.sum(axis=-1)
+    gen_out = dispatch.p - dispatch.alpha * total[..., None]
+    q = np.zeros(wind.shape)
+    np.add.at(q, (..., net.gen_bus_index), gen_out)
+    q += net.wind_mean
+    q += wind
+    q -= net.demand
+    return q

@@ -17,18 +17,24 @@ Two independent solvers are provided. solve_pf eliminates conservation
 exactly through a spanning-tree parameterization and runs Newton on the
 chord flows; energy_function_solve minimizes the classical energy
 function in angle space. Their agreement on interior instances is a
-standing cross-check used by the test suite.
+standing cross-check used by the test suite. solve_pf is the
+single-sample case of solve_pf_batch, which runs that Newton over a
+stack of injection vectors at once (Monte Carlo re-solves a sub-batch
+of samples per call).
 
 The tree, its chords and the LU factors of its block T of the reduced
 incidence do not depend on the injections, so they are built once per
 Network (Network.spanning_tree) and every solve reuses them. The angles
 follow from arcsin(rho_k) = theta_i - theta_j on the tree arcs, one
 transposed solve T^T theta = arcsin(rho[tree]) with the same factors.
+The particular flows of a stack come from T^-1 as stacked products
+(SpanningTree.particular_flow), each row on its own.
 Newton takes the full step whenever it shrinks max|gradient| by 0.9,
 which always holds near the optimum, where an objective-decrease test
 could no longer resolve progress; otherwise it backtracks (Armijo) on
-the objective. A solve either reaches the gradient tolerance or raises
-NoConvergenceError.
+the objective. Each sample of a batch takes its own steps and stops on
+its own. A solve either reaches the gradient tolerance or ends failed:
+solve_pf raises NoConvergenceError, solve_pf_batch marks the sample.
 """
 from __future__ import annotations
 
@@ -60,10 +66,6 @@ def psi(x):
     if np.isscalar(x):
         return float(val)
     return val
-
-
-def psi_prime(x):
-    return np.arcsin(x)
 
 
 def psi_second(x):
@@ -105,16 +107,17 @@ def _extended_psi_terms(rho, cap):
     continues with matching value and slope and constant curvature
     psi''(cap), preserving convexity and smoothness so the interior
     optimum is untouched while boundary-seeking solves stay finite.
+    The clipped argument lies inside (-1, 1), so psi's domain check is
+    skipped.
     """
-    rho = np.asarray(rho, dtype=float)
-    cap = np.asarray(cap, dtype=float)
     s = np.sign(rho)
     edge = s * cap
     inside = np.abs(rho) <= cap
     safe = np.where(inside, rho, edge)
-    v_in = psi(safe)
-    g_in = psi_prime(safe)
-    h_in = psi_second(safe)
+    root = np.sqrt(1.0 - safe * safe)
+    g_in = np.arcsin(safe)
+    v_in = safe * g_in + root - np.pi / 2.0
+    h_in = 1.0 / root
     d = rho - edge
     v_out = v_in + g_in * d + 0.5 * h_in * d * d
     g_out = g_in + h_in * d
@@ -122,6 +125,134 @@ def _extended_psi_terms(rho, cap):
     grad = np.where(inside, g_in, g_out)
     hess = h_in  # already the edge curvature where outside
     return val, grad, hess
+
+
+@dataclass
+class FlowBatch:
+    """Result of solve_pf_batch, one row (or entry) per sample.
+
+    rho are the per-arc sines clipped to the caps; boundary_hit marks the
+    samples pinned within 10*margin of a cap; iterations counts the Newton
+    steps taken plus one (0 on a tree); failed marks the samples whose
+    gradient is still above tol after max_iter steps, and residual holds
+    each sample's final max|gradient| over the chord flows.
+    """
+
+    rho: np.ndarray
+    boundary_hit: np.ndarray
+    iterations: np.ndarray
+    failed: np.ndarray
+    residual: np.ndarray
+
+
+def solve_pf_batch(
+    net: Network,
+    injections: np.ndarray,
+    enforce_thermal_cap: bool = True,
+    margin: float = MARGIN,
+    tol: float = 1e-10,
+    max_iter: int = 200,
+) -> FlowBatch:
+    """Solve the convex lossless power flow for each row of an (S, n) stack
+    of balanced injection vectors.
+
+    The samples run one chord-flow Newton together, each with its own
+    step rule (see the module docstring) and its own stopping test. Every
+    product is stacked per sample, so each row's result depends on that
+    row alone and not on the rows solved with it. The working set is
+    about S * n_line * n_chords doubles. Options as in solve_pf; a sample
+    that misses tol within max_iter steps is marked failed instead of
+    raising.
+    """
+    q = np.asarray(injections, dtype=float)
+    if q.ndim != 2 or q.shape[1] != net.n_bus:
+        raise UnbalancedInjectionsError(
+            f"injection block shape {q.shape} != (S, {net.n_bus})"
+        )
+    total = q.sum(axis=1)
+    unbalanced = np.flatnonzero(np.abs(total) > 1e-9)
+    if unbalanced.size:
+        raise UnbalancedInjectionsError(
+            f"injections sum to {total[unbalanced[0]]:.3e}, not 0"
+        )
+
+    if enforce_thermal_cap:
+        cap_full = net.effective_cap
+    else:
+        cap_full = np.ones(net.n_line)
+    cap = cap_full - margin
+
+    basis = net.spanning_tree
+    f0 = basis.particular_flow(q)
+    K = basis.chord_map
+    beta = net.beta
+
+    def terms(f0, y):
+        rho = (f0 + (K @ y[:, :, None])[:, :, 0]) / beta
+        return (rho, *_extended_psi_terms(rho, cap))
+
+    def gradient(g):
+        return (K.T @ g[:, :, None])[:, :, 0]
+
+    n_samples = q.shape[0]
+    y = np.zeros((n_samples, basis.chords.size))
+    rho, val, g, h = terms(f0, y)
+    iterations = np.zeros(n_samples, dtype=int)
+    residual = np.zeros(n_samples)
+    run = np.arange(n_samples if basis.chords.size else 0)  # samples still iterating
+    for it in range(1, max_iter + 1):
+        if not run.size:
+            break
+        grad = gradient(g[run])
+        gnorm = np.max(np.abs(grad), axis=1)
+        done = gnorm <= tol
+        iterations[run[done]] = it
+        residual[run[done]] = gnorm[done]
+        run, grad, gnorm = run[~done], grad[~done], gnorm[~done]
+        if not run.size:
+            break
+        ys, f0s = y[run], f0[run]
+        hess = K.T @ ((h[run] / beta)[:, :, None] * K)
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        del hess  # so that two Hessian stacks are never alive at once
+        # full Newton step when it contracts the gradient (always true
+        # near the optimum, where the objective's decrease falls below
+        # rounding); otherwise Armijo backtracking on the extended
+        # objective, whose decrease is resolvable far from it
+        trial = terms(f0s, ys + step)
+        slow = np.flatnonzero(np.max(np.abs(gradient(trial[2])), axis=1) > 0.9 * gnorm)
+        if slow.size:
+            val0 = np.sum(beta * val[run[slow]], axis=1)
+            slope = np.sum(grad[slow] * step[slow], axis=1)
+            t = np.ones(slow.size)
+            back = np.arange(slow.size)  # searching samples, as positions in slow
+            for _ in range(60):
+                rows = slow[back]
+                accept = np.sum(beta * trial[1][rows], axis=1) <= (  # trial[1]: psi values
+                    val0[back] + 1e-4 * t[back] * slope[back])
+                back = back[~accept]
+                if not back.size:
+                    break
+                rows = slow[back]
+                t[back] *= 0.5
+                for arr, new in zip(trial, terms(f0s[rows], ys[rows] + t[back, None] * step[rows])):
+                    arr[rows] = new
+            step[slow] *= t[:, None]
+        y[run] = ys + step
+        rho[run], val[run], g[run], h[run] = trial
+    failed = np.zeros(n_samples, dtype=bool)
+    if run.size:
+        failed[run] = True
+        iterations[run] = max_iter
+        residual[run] = np.max(np.abs(gradient(g[run])), axis=1)
+
+    return FlowBatch(
+        rho=np.clip(rho, -cap, cap),
+        boundary_hit=np.any(np.abs(rho) >= cap_full - 10.0 * margin, axis=1),
+        iterations=iterations,
+        failed=failed,
+        residual=residual,
+    )
 
 
 def solve_pf(
@@ -133,6 +264,8 @@ def solve_pf(
     max_iter: int = 200,
 ) -> FlowState:
     """Solve the convex lossless power flow for balanced injections.
+
+    The single-sample case of solve_pf_batch.
 
     Parameters
     ----------
@@ -161,73 +294,21 @@ def solve_pf(
         raise UnbalancedInjectionsError(
             f"injection vector length {q.shape} != ({net.n_bus},)"
         )
-    if abs(q.sum()) > 1e-9:
-        raise UnbalancedInjectionsError(f"injections sum to {q.sum():.3e}, not 0")
-
-    if enforce_thermal_cap:
-        cap_full = net.effective_cap
-    else:
-        cap_full = np.ones(net.n_line)
-    cap = cap_full - margin
-
-    basis = net.spanning_tree
-    f0 = basis.particular_flow(q)
-    K = basis.chord_map
-    beta = net.beta
-
-    def terms(y):
-        rho = (f0 + K @ y) / beta
-        return (rho, *_extended_psi_terms(rho, cap))
-
-    y = np.zeros(basis.chords.size)
-    rho, val, g, h = terms(y)
-    iters = 0
-    if y.size:
-        for iters in range(1, max_iter + 1):
-            grad = K.T @ g
-            gnorm = np.max(np.abs(grad))
-            if gnorm <= tol:
-                break
-            H = K.T @ ((h / beta)[:, None] * K)
-            try:
-                step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), grad)
-            except scipy.linalg.LinAlgError:
-                step = -grad
-            # full Newton step when it contracts the gradient (always true
-            # near the optimum, where the objective's decrease falls below
-            # rounding); otherwise Armijo backtracking on the extended
-            # objective, whose decrease is resolvable far from it
-            trial = terms(y + step)
-            if np.max(np.abs(K.T @ trial[2])) > 0.9 * gnorm:
-                val0 = float(np.sum(beta * val))
-                slope = float(grad @ step)
-                t = 1.0
-                for _ in range(60):
-                    if float(np.sum(beta * trial[1])) <= val0 + 1e-4 * t * slope:
-                        break
-                    t *= 0.5
-                    trial = terms(y + t * step)
-                step = t * step
-            y = y + step
-            rho, val, g, h = trial
-        else:
-            raise NoConvergenceError(
-                f"pf newton gradient {np.max(np.abs(K.T @ g)):.3e} above {tol:.1e} "
-                f"after {max_iter} iterations"
-            )
-
-    boundary_hit = bool(np.any(np.abs(rho) >= cap_full - 10.0 * margin))
-    rho_clipped = np.clip(rho, -cap, cap)
-    theta = basis.angles(np.arcsin(rho_clipped))
-    feasible = not boundary_hit
-    objective = pf_objective(net, rho_clipped)
+    batch = solve_pf_batch(net, q[None, :], enforce_thermal_cap, margin, tol, max_iter)
+    if batch.failed[0]:
+        raise NoConvergenceError(
+            f"pf newton gradient {batch.residual[0]:.3e} above {tol:.1e} "
+            f"after {max_iter} iterations"
+        )
+    rho = batch.rho[0]
+    boundary_hit = bool(batch.boundary_hit[0])
     return FlowState(
-        rho=rho_clipped,
-        theta=theta,
-        feasible=feasible,
+        rho=rho,
+        theta=net.spanning_tree.angles(np.arcsin(rho)),
+        feasible=not boundary_hit,
         boundary_hit=boundary_hit,
-        objective=objective,
-        iterations=iters,
+        objective=pf_objective(net, rho),
+        iterations=int(batch.iterations[0]),
     )
 
 

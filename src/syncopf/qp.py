@@ -188,7 +188,8 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
-    residual, and one above 100 * TOL_KKT is logged as a warning.
+    residual (complementarity relative to the dual and the row, see
+    _complementarity), and one above 100 * TOL_KKT is logged as a warning.
     Deterministic for identical input.
     """
     n = qp.n
@@ -425,20 +426,36 @@ def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
     if qp.A_eq is not None and qp.A_eq.shape[0]:
         res = max(res, float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))))
     if qp.A_in is not None and qp.A_in.shape[0]:
-        slack = qp.b_in - qp.A_in @ x
+        ax = qp.A_in @ x
+        slack = qp.b_in - ax
+        size = np.abs(ax) + np.abs(qp.b_in)
         res = max(res, float(np.max(-slack.clip(max=0.0), initial=0.0)))
-        res = max(res, float(np.max(np.abs(sol.duals_in * slack), initial=0.0)))
+        res = max(res, _complementarity(sol.duals_in, slack, size))
         res = max(res, float(np.max(-sol.duals_in, initial=0.0)))
     if qp.lo is not None:
         gap = x - qp.lo
         fin = np.isfinite(qp.lo)
         if fin.any():
             res = max(res, float(np.max(-gap[fin].clip(max=0.0), initial=0.0)))
-            res = max(res, float(np.max(np.abs(sol.duals_lo[fin] * gap[fin]), initial=0.0)))
+            size = np.abs(x[fin]) + np.abs(qp.lo[fin])
+            res = max(res, _complementarity(sol.duals_lo[fin], gap[fin], size))
     if qp.hi is not None:
         gap = qp.hi - x
         fin = np.isfinite(qp.hi)
         if fin.any():
             res = max(res, float(np.max(-gap[fin].clip(max=0.0), initial=0.0)))
-            res = max(res, float(np.max(np.abs(sol.duals_hi[fin] * gap[fin]), initial=0.0)))
+            size = np.abs(x[fin]) + np.abs(qp.hi[fin])
+            res = max(res, _complementarity(sol.duals_hi[fin], gap[fin], size))
     return res
+
+
+def _complementarity(dual, slack, size):
+    """Largest |dual * slack| / (1 + |dual| * size), size being the
+    magnitude of the terms whose difference is the slack.
+
+    An active row's slack is known only to the roundoff of its size, and
+    a large dual would magnify that roundoff in the plain product; a
+    nonzero dual on a row with real slack still reads near
+    |slack| / size, or |dual * slack| for a small dual.
+    """
+    return float(np.max(np.abs(dual * slack) / (1.0 + np.abs(dual) * size), initial=0.0))

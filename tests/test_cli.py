@@ -273,6 +273,22 @@ def test_barrier_report_matches_golden(case, golden, capsys):
     assert got["dispatch"]["alpha"] == want["dispatch"]["alpha"]
 
 
+@pytest.mark.parametrize(
+    "case, dispatch, options, golden",
+    [("cases/case9_wind.json", "ccopf_case9_wind.json",
+      ["--samples", "1000", "--seed", "2026", "--nonlinear-mc"], "validate_case9_wind.json"),
+     (str(DATA / "mesh100.json"), "ccopf_mesh100.json",
+      ["--samples", "1000", "--seed", "2026", "--nonlinear-mc"], "validate_mesh100.json"),
+     ("cases/case9_wind.json", "ccopf_case9_wind.json", [], "validate_case9_wind_default.json")],
+    ids=["case9", "mesh100", "case9-default"],
+)
+def test_validate_report_matches_golden_bytes(case, dispatch, options, golden, capsys):
+    # frozen from the per-sample solve_pf loop that the batched re-solve replaced
+    code, out = run(capsys, ["validate", "--case", case, "--dispatch", str(DATA / dispatch), *options])
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 def test_barrier_ignores_max_iters(capsys):
     # --max-iters caps ccopf's cut iterations; the barrier keeps its own
     # stage count, so a small cap leaves its report unchanged

@@ -11,7 +11,7 @@ from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, parse_ca
 from syncopf.cc_opf import analytic_violation_prob
 from syncopf.mc import NONLINEAR_DEFAULT_MAX, Z99, ci_halfwidth
 from syncopf.network import Dispatch
-from syncopf.powerflow import solve_pf
+from syncopf.powerflow import solve_pf_batch
 
 import syncopf.mc as mc_mod
 
@@ -58,24 +58,36 @@ def test_bit_exact_determinism():
     assert c.to_dict() == d.to_dict()
 
 
-def _case9_newton_counts(monkeypatch, shift=0.0):
-    """solve_pf iterations of each of 1000 nonlinear case9 samples at the
-    golden report's dispatch, with alpha moved by shift between two
-    generators."""
-    net, _ = parse_case("cases/case9_wind.json")
-    rep = read_report(DATA / "ccopf_case9_wind.json")
+def _per_sample(monkeypatch, case, golden, n_samples, shift=0.0):
+    """(iterations, boundary_hit, failed, rho) of each nonlinear sample that
+    run_mc solves at a golden report's dispatch with seed 2026, with alpha
+    moved by shift between the first two generators."""
+    net, _ = parse_case(case)
+    rep = read_report(DATA / golden)
     alpha = np.array(rep.alpha)
     alpha[:2] += (shift, -shift)
-    counts = []
+    samples = []
 
-    def counted(*args, **kwargs):
-        state = solve_pf(*args, **kwargs)
-        counts.append(state.iterations)
-        return state
+    def spy(*args, **kwargs):
+        res = solve_pf_batch(*args, **kwargs)
+        samples.extend(zip(res.iterations.tolist(), res.boundary_hit.tolist(),
+                           res.failed.tolist(), res.rho))
+        return res
 
-    monkeypatch.setattr(mc_mod, "solve_pf", counted)
-    report = run_mc(net, Dispatch(p=np.array(rep.p), alpha=alpha), 1000, seed=2026, nonlinear=True)
-    assert report.solve_failures == 0 and len(counts) == 1000
+    monkeypatch.setattr(mc_mod, "solve_pf_batch", spy)
+    report = run_mc(net, Dispatch(p=np.array(rep.p), alpha=alpha), n_samples, seed=2026,
+                    nonlinear=True)
+    assert report.solve_failures == 0
+    return samples
+
+
+def _case9_newton_counts(monkeypatch, shift=0.0):
+    """Newton iterations of each of 1000 nonlinear case9 samples at the
+    golden report's dispatch, with alpha moved by shift between two
+    generators."""
+    samples = _per_sample(monkeypatch, "cases/case9_wind.json", "ccopf_case9_wind.json", 1000, shift)
+    counts = [iters for iters, *_ in samples]
+    assert len(counts) == 1000
     return counts
 
 
@@ -89,6 +101,25 @@ def test_newton_counts_stable_under_last_bit_alpha_shift(monkeypatch):
     base = _case9_newton_counts(monkeypatch)
     for shift in (1.5e-14, -1.5e-14):
         assert _case9_newton_counts(monkeypatch, shift) == base
+
+
+@pytest.mark.parametrize("case, golden", [
+    ("cases/case9_wind.json", "ccopf_case9_wind.json"),
+    (str(DATA / "mesh100.json"), "ccopf_mesh100.json"),
+], ids=["case9", "mesh100"])
+def test_sample_outcomes_do_not_depend_on_sub_batches(monkeypatch, case, golden):
+    # the last sub-batch holds other samples at 997 than at 1000, and
+    # sub-batches of 3 group every sample differently, so each sample
+    # must come out of its own arithmetic alone
+    whole = _per_sample(monkeypatch, case, golden, 1000)
+    prefix = _per_sample(monkeypatch, case, golden, 997)
+    monkeypatch.setattr(mc_mod, "_BATCH_SAMPLES", 3)
+    regrouped = _per_sample(monkeypatch, case, golden, 1000)
+    assert len(whole) == len(regrouped) == 1000 and len(prefix) == 997
+    for other in (prefix, regrouped):
+        for (*got, got_rho), (*want, want_rho) in zip(other, whole):
+            assert got == want
+            assert np.array_equal(got_rho, want_rho)
 
 
 def test_seed_changes_stream():

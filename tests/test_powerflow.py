@@ -4,19 +4,29 @@ Covers: psi closed form against quadrature, 2-bus forced solutions,
 boundary (loss of synchrony) detection, oracle agreement with an
 independent Newton solve of the sine equations, conservation and
 angle-recovery invariants on random networks, tree exactness, Newton
-termination on random meshes, and the cached spanning tree.
+termination on random meshes, the cached spanning tree, and the batched
+solve against the single-sample one.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from syncopf import Bus, Generator, Line, Network, DomainError, UnbalancedInjectionsError
+from syncopf import (
+    Bus, DomainError, Generator, Line, Network, NoConvergenceError, UnbalancedInjectionsError,
+    parse_case, read_report,
+)
+from syncopf.network import Dispatch, injection_vector
 from syncopf.powerflow import (
     energy_function_solve,
     pf_objective,
     psi,
     solve_pf,
+    solve_pf_batch,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def two_bus(beta=1.0, pbar=2.0):
@@ -250,6 +260,81 @@ def test_cached_tree_matches_fresh_network():
         assert (got.objective, got.iterations, got.boundary_hit) == (
             want.objective, want.iterations, want.boundary_hit)
     assert net.spanning_tree is net.spanning_tree
+
+
+# --- solve_pf_batch ------------------------------------------------------
+
+def _batch_against_scalar(net, q, thermal):
+    """solve_pf_batch over the rows of q, checked sample by sample against
+    solve_pf on each row alone."""
+    batch = solve_pf_batch(net, q, enforce_thermal_cap=thermal)
+    assert not batch.failed.any()
+    for s, row in enumerate(q):
+        one = solve_pf(net, row, enforce_thermal_cap=thermal)
+        assert batch.iterations[s] == one.iterations
+        assert batch.boundary_hit[s] == one.boundary_hit
+        assert np.max(np.abs(batch.rho[s] - one.rho)) <= 1e-12
+    return batch
+
+
+@pytest.mark.parametrize("case, report", [
+    ("cases/case9_wind.json", "ccopf_case9_wind.json"),
+    ("cases/alternation.json", "ccopf_alternation.json"),
+    (DATA / "mesh100.json", "ccopf_mesh100.json"),
+], ids=["case9", "alternation", "mesh100"])
+def test_batch_matches_scalar_on_cases(case, report):
+    # wind at six times its spread, so that some samples pin a thermal cap
+    net, _ = parse_case(case)
+    rep = read_report(DATA / report)
+    dispatch = Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
+    rng = np.random.default_rng(11)
+    wind = np.zeros((40, net.n_bus))
+    sigma = net.wind_sigma[net.wind_index]
+    wind[:, net.wind_index] = 6.0 * sigma * rng.normal(size=(40, sigma.size))
+    q = np.array([injection_vector(net, dispatch, wind=w) for w in wind])
+    assert np.array_equal(injection_vector(net, dispatch, wind=wind), q)  # stacked wind
+    hits = [_batch_against_scalar(net, q, thermal).boundary_hit.sum() for thermal in (True, False)]
+    assert hits[0] > 0
+
+
+def test_batch_matches_scalar_on_random_meshes():
+    # the 1500 solves of test_newton_ends_on_random_meshes, whose steep
+    # injections take the Armijo branch and pin flows at both caps
+    rng = np.random.default_rng(2026)
+    hits = {True: 0, False: 0}
+    for _ in range(150):
+        net = ring_mesh(rng, int(rng.integers(4, 31)))
+        q = np.array([balanced(rng, net.n_bus, scale=scale) for scale in (0.5, 1.0, 2.0, 4.0, 8.0)])
+        for thermal in (True, False):
+            hits[thermal] += _batch_against_scalar(net, q, thermal).boundary_hit.sum()
+    assert hits[True] > 0 and hits[False] > 0
+
+
+def test_batch_marks_failures_and_scalar_raises():
+    net, _ = parse_case(DATA / "mesh100.json")
+    rng = np.random.default_rng(5)
+    q = np.array([balanced(rng, net.n_bus, scale=0.05) for _ in range(3)])
+    batch = solve_pf_batch(net, q, max_iter=1)
+    assert batch.failed.all() and (batch.iterations == 1).all()
+    assert (batch.residual > 1e-10).all()
+    with pytest.raises(NoConvergenceError):
+        solve_pf(net, q[0], max_iter=1)
+    assert not solve_pf_batch(net, q).failed.any()
+
+
+def test_batch_rejects_unbalanced_row():
+    net = triangle()
+    q = np.array([[1.2, -0.6, -0.6], [1.2, -0.6, -0.5]])
+    with pytest.raises(UnbalancedInjectionsError):
+        solve_pf_batch(net, q)
+
+
+def test_batch_on_tree_takes_no_newton_step():
+    net = two_bus()
+    batch = solve_pf_batch(net, np.array([[0.5, -0.5], [1.5, -1.5]]))
+    assert (batch.iterations == 0).all() and not batch.failed.any()
+    assert batch.boundary_hit.tolist() == [False, True]
+    assert abs(batch.rho[0, 0] - 0.5) < 1e-12
 
 
 # --- energy_function_solve ------------------------------------------------

@@ -3,12 +3,16 @@
 Covers: hand-checked KKT examples, dual sign conventions, infeasibility
 detection, semidefinite regularization, randomized KKT certification,
 inactive-constraint removal invariance, and feasible ill-conditioned
-problems with dependent rows.
+problems with dependent rows, and the KKT residual's warning.
 """
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
-from syncopf.qp import OPTIMAL, INFEASIBLE, QuadraticProgram, solve_qp
+import syncopf.qp as qp_mod
+from syncopf.qp import OPTIMAL, INFEASIBLE, TOL_KKT, QuadraticProgram, _kkt_residual, solve_qp
 
 
 def test_min_x_squared_with_lower_bound():
@@ -204,6 +208,43 @@ def test_ill_conditioned_dependent_rows_solve_to_optimal(n, seed):
     assert sol.kkt_residual <= 1e-8
     at_x0 = 0.5 * x0 @ qp.Q @ x0 + qp.c @ x0
     assert sol.objective <= at_x0 + 1e-12 * abs(at_x0)
+
+
+@pytest.mark.parametrize("n, seed", [(11, 1068), (12, 1159), (5, 1242), (11, 1648)])
+def test_large_dual_on_active_row_logs_no_kkt_warning(n, seed, caplog):
+    # an active row with a dual of 1e8 to 1e9 and a slack of roundoff size:
+    # the plain |dual * slack| read up to 1.5e-2 on these draws
+    qp, _ = _ill_conditioned_qp(n, seed)
+    with caplog.at_level(logging.WARNING, logger=qp_mod.__name__):
+        sol = solve_qp(qp)
+    assert sol.status == OPTIMAL
+    assert not caplog.records
+
+
+def test_perturbed_dual_trips_kkt_warning(monkeypatch, caplog):
+    qp, _ = _ill_conditioned_qp(12, 1159)
+    package = qp_mod._package
+
+    def perturbed(*args):
+        sol = package(*args)
+        sol.duals_in[np.argmax(qp.b_in - qp.A_in @ sol.x)] += 1e-3  # on the slackest row
+        return sol
+
+    monkeypatch.setattr(qp_mod, "_package", perturbed)
+    with caplog.at_level(logging.WARNING, logger=qp_mod.__name__):
+        solve_qp(qp)
+    assert any("KKT residual" in r.getMessage() for r in caplog.records)
+
+
+def test_complementarity_alone_trips_kkt_residual():
+    # min (x - 1)^2 / 2 s.t. x <= 2: x = 0.5 with dual 0.5 is stationary and
+    # feasible, but the row has slack 1.5
+    qp = QuadraticProgram(Q=[[1.0]], c=[-1.0], A_in=[[1.0]], b_in=[2.0])
+    sol = solve_qp(qp)
+    assert sol.kkt_residual <= 1e-12
+    wrong = dataclasses.replace(sol, x=np.array([0.5]), duals_in=np.array([0.5]))
+    assert _kkt_residual(qp, wrong) == pytest.approx(0.75 / (1.0 + 0.5 * 2.5))
+    assert _kkt_residual(qp, wrong) > 100 * TOL_KKT
 
 
 def test_dimension_validation():
