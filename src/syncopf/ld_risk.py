@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DomainError, NoConvergenceError, ZeroVarianceError
 from .network import Dispatch, Network, injection_vector
@@ -177,6 +176,8 @@ def nonlinear_instanton(
     q0 = injection_vector(net, dispatch, wind=w_full)
     theta0 = net.solve_angles(q0)
     z0 = np.concatenate([theta0[keep], omega0])
+
+    from scipy.optimize import minimize  # imported here: it is slow to load, and no other call needs it
 
     res = minimize(
         objective,

@@ -7,22 +7,33 @@ inverse normal CDF applied to the uniform stream.
 
 The linear check mirrors the solver's own model: per-sample angle gaps
 are mean + C w, thermal exceedances count |beta * gap| > pbar and sync
-events |gap| >= 1, with per-side tallies. The nonlinear check re-solves
-the sine power flow of every sample (thermal cap off) with
-solve_pf_batch, in sub-batches of _BATCH_TARGET // (lines * chords)
-samples, so that a sub-batch's stacked chord products hold no more than
-_BATCH_TARGET doubles (2 MB) unless one sample alone needs more, as on a
-1000-bus grid, which solves one sample at a time. A sub-batch also holds
-at most _BATCH_SAMPLES samples (10 on case9 and on a 100-bus mesh). That
-cap keeps a 1000-sample case9 validation at about 40 ms rather than
-10 ms: perfbench's worker corrects each command's time by host-probe
-samples taken every 25 ms and fails on a command that gets none. Each
-sample's solve depends on that sample alone, so the sub-batch size does
-not change the report. Boundary-pinned solutions count as synchrony
-loss attributed to the pinned lines, and solver failures (unbalanced
-injections included) are counted as sync loss but also reported
-separately. On trees the linear and nonlinear flows coincide, so
-thermal counts match sample for sample.
+events |gap| >= 1, with per-side tallies. With w = z * sigma, line l's
+deviation C_l w = (C_l * sigma) z is at most spread_l * |z| by
+Cauchy-Schwarz, spread_l being the line's standard deviation. So a chunk
+forms gaps only for the lines whose bound spread * max|z| reaches the
+margin min(pbar / beta, 1) - |mean|. The bound carries a relative slack
+of 1e-9 on spread * max|z| and on |mean| + spread, far above the
+n_w * eps rounding of the dot product and of the norms, so a skipped
+line would have tallied no event in computed arithmetic either. Near an
+optimum few lines come near a limit (3 of 1500 on a 1000-bus grid), and
+a chunk then costs about its draws instead of lines * wind buses per
+sample.
+
+The nonlinear check re-solves the sine power flow of every sample
+(thermal cap off) with solve_pf_batch, in sub-batches of
+_BATCH_TARGET // (lines * chords) samples, so that a sub-batch's stacked
+chord products hold no more than _BATCH_TARGET doubles (2 MB) unless one
+sample alone needs more, as on a 1000-bus grid, which solves one sample
+at a time. A sub-batch also holds at most _BATCH_SAMPLES samples (10 on
+case9 and on a 100-bus mesh). That cap keeps a 1000-sample case9
+validation at about 40 ms rather than 10 ms: perfbench's worker corrects
+each command's time by host-probe samples taken every 25 ms and fails on
+a command that gets none. Each sample's solve depends on that sample
+alone, so the sub-batch size does not change the report. Boundary-pinned
+solutions count as synchrony loss attributed to the pinned lines, and
+solver failures (unbalanced injections included) are counted as sync
+loss but also reported separately. On trees the linear and nonlinear
+flows coincide, so thermal counts match sample for sample.
 """
 from __future__ import annotations
 
@@ -130,7 +141,12 @@ def run_mc(
     sig = sens.sigma
     mean, coeff = sens.mean(dispatch), sens.response(dispatch)
     cap_t = net.pbar / net.beta
-    neg_cap_t = -cap_t
+    # a chunk tallies only the lines whose bound spread * max|z| (with its
+    # slack) reaches the margin; see the module docstring
+    spread = sens.spread(dispatch)
+    abs_mean = np.abs(mean)
+    margin = np.minimum(cap_t, 1.0) - abs_mean
+    slack = 1e-9 * (abs_mean + spread)
     if nonlinear:
         batch = max(1, min(_BATCH_SAMPLES,
                            _BATCH_TARGET // max(m * net.spanning_tree.chords.size, 1)))
@@ -154,15 +170,21 @@ def run_mc(
         size = min(chunk, n_samples - done)
         if n_w:
             u = rng.random((size, n_w))
-            w = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16)) * sig
+            z = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
+            w = z * sig
+            z_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", z, z))))
         else:
             w = np.zeros((size, 0))
-        gaps = w @ coeff.T
-        gaps += mean
-        th_pos += np.count_nonzero(gaps > cap_t, axis=0)
-        th_neg += np.count_nonzero(gaps < neg_cap_t, axis=0)
-        sy_pos += np.count_nonzero(gaps >= 1.0, axis=0)
-        sy_neg += np.count_nonzero(gaps <= -1.0, axis=0)
+            z_max = 0.0
+        live = np.flatnonzero(
+            spread * z_max * (1.0 + 1e-9) + slack * (1.0 + z_max) >= margin)
+        gaps = w @ coeff[live].T
+        gaps += mean[live]
+        th_pos[live] += np.count_nonzero(gaps > cap_t[live], axis=0)
+        th_neg[live] += np.count_nonzero(gaps < -cap_t[live], axis=0)
+        sy_pos[live] += np.count_nonzero(gaps >= 1.0, axis=0)
+        sy_neg[live] += np.count_nonzero(gaps <= -1.0, axis=0)
+        del gaps  # before the sub-batches and the next chunk's draws
 
         w_tot = w.sum(axis=1)
         outputs = dispatch.p[None, :] - np.outer(w_tot, dispatch.alpha)
@@ -170,7 +192,6 @@ def run_mc(
         g_under += np.count_nonzero(outputs < net.pmin[None, :], axis=0)
 
         if nonlinear:
-            del gaps  # the sub-batches below reuse its memory
             for lo in range(0, size, batch):
                 w_full = np.zeros((min(batch, size - lo), net.n_bus))
                 w_full[:, wind] = w[lo:lo + batch]

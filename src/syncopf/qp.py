@@ -188,8 +188,9 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
-    residual (complementarity relative to the dual and the row, see
-    _complementarity), and one above 100 * TOL_KKT is logged as a warning.
+    residual (stationarity relative to the size of its terms and
+    complementarity relative to the dual and the row, see _kkt_residual
+    and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
     Deterministic for identical input.
     """
     n = qp.n
@@ -414,15 +415,25 @@ def _package(qp, rows, x, duals, status, iters) -> QpSolution:
 
 
 def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
-    """Max-norm KKT residual: stationarity, feasibility, complementarity."""
+    """Max-norm KKT residual: stationarity, feasibility, complementarity.
+
+    Each stationarity entry is divided by 1 plus the magnitude of its
+    terms, as _complementarity divides by the size of its slack: a sum of
+    terms near |dual| * |a| cancels only to the roundoff of that size.
+    """
     x = sol.x
     grad = qp.Q @ x + qp.c
+    size = np.abs(qp.Q) @ np.abs(x) + np.abs(qp.c)
     if qp.A_in is not None:
         grad = grad + qp.A_in.T @ sol.duals_in
+        held = np.flatnonzero(sol.duals_in)  # most rows hold no dual and add nothing
+        size = size + np.abs(sol.duals_in[held]) @ np.abs(qp.A_in[held])
     if qp.A_eq is not None:
         grad = grad - qp.A_eq.T @ sol.duals_eq
+        size = size + np.abs(qp.A_eq.T) @ np.abs(sol.duals_eq)
     grad = grad - sol.duals_lo + sol.duals_hi
-    res = float(np.max(np.abs(grad))) if x.size else 0.0
+    size = size + np.abs(sol.duals_lo) + np.abs(sol.duals_hi)
+    res = float(np.max(np.abs(grad) / (1.0 + size), initial=0.0))
     if qp.A_eq is not None and qp.A_eq.shape[0]:
         res = max(res, float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))))
     if qp.A_in is not None and qp.A_in.shape[0]:

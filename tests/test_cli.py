@@ -1,6 +1,9 @@
 """End-to-end command-line tests driven through main(argv): exit codes,
 report emission, option overrides, and cross-command consistency."""
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -279,11 +282,15 @@ def test_barrier_report_matches_golden(case, golden, capsys):
       ["--samples", "1000", "--seed", "2026", "--nonlinear-mc"], "validate_case9_wind.json"),
      (str(DATA / "mesh100.json"), "ccopf_mesh100.json",
       ["--samples", "1000", "--seed", "2026", "--nonlinear-mc"], "validate_mesh100.json"),
-     ("cases/case9_wind.json", "ccopf_case9_wind.json", [], "validate_case9_wind_default.json")],
-    ids=["case9", "mesh100", "case9-default"],
+     ("cases/case9_wind.json", "ccopf_case9_wind.json", [], "validate_case9_wind_default.json"),
+     ("cases/case9_wind.json", "ccopf_case9_wind.json",
+      ["--samples", "200000", "--seed", "2026"], "validate_case9_wind_linear.json")],
+    ids=["case9", "mesh100", "case9-default", "case9-linear"],
 )
 def test_validate_report_matches_golden_bytes(case, dispatch, options, golden, capsys):
-    # frozen from the per-sample solve_pf loop that the batched re-solve replaced
+    # the nonlinear reports were frozen from the per-sample solve_pf loop that
+    # the batched re-solve replaced; the linear one (line 4 trips, the others
+    # never come near a limit) from the unscreened linear tally
     code, out = run(capsys, ["validate", "--case", case, "--dispatch", str(DATA / dispatch), *options])
     assert code == 0
     assert out == (DATA / golden).read_text()
@@ -369,3 +376,14 @@ def test_logging_env_keeps_stdout_clean(tmp_path, capsys, monkeypatch):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("syncopf ")
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only the nonlinear instanton minimizes; every other command would pay
+    # for loading scipy.optimize at start-up
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, syncopf.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

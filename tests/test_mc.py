@@ -1,13 +1,16 @@
 """Monte Carlo validator tests: bit-exact determinism, agreement with
 analytic probabilities, per-side bookkeeping, tree exactness of the
 nonlinear re-solve, and certification against chance budgets."""
+import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, parse_case, read_report, run_mc
+from syncopf.case_io import parse_case_dict
 from syncopf.cc_opf import analytic_violation_prob
 from syncopf.mc import NONLINEAR_DEFAULT_MAX, Z99, ci_halfwidth
 from syncopf.network import Dispatch
@@ -139,6 +142,93 @@ def test_chunking_does_not_change_stream(monkeypatch):
     assert np.array_equal(whole.thermal_freq, chunked.thermal_freq)
     assert np.array_equal(whole.sync_freq, chunked.sync_freq)
     assert np.array_equal(whole.gen_freq, chunked.gen_freq)
+
+
+def limits_grid():
+    """Line 1-2 has pbar > beta, so sync is its tighter limit; line 3-4
+    carries a mean gap beyond its cap whatever the wind."""
+    return Network(
+        buses=[Bus(1), Bus(2, demand=0.9, wind_mean=0.0, wind_sigma=0.15),
+               Bus(3, demand=0.5, wind_mean=0.1, wind_sigma=0.1), Bus(4, demand=0.3)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=3.0, c1=1.0),
+                    Generator(bus=3, pmin=0.0, pmax=2.0, c1=2.0)],
+        lines=[Line(1, 2, beta=1.0, pbar=1.6), Line(2, 3, beta=2.0, pbar=2.0),
+               Line(1, 3, beta=1.0, pbar=0.9), Line(3, 4, beta=3.0, pbar=0.05)],
+    )
+
+
+def windless_grid():
+    return Network(
+        buses=[Bus(1), Bus(2, demand=2.0), Bus(3, demand=0.4)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=3.0, c1=1.0)],
+        lines=[Line(1, 2, beta=1.0, pbar=2.0), Line(2, 3, beta=1.0, pbar=0.1),
+               Line(1, 3, beta=4.0, pbar=2.0)],
+    )
+
+
+def _golden(case, golden, wind_scale=1.0):
+    doc = json.loads(Path(case).read_text())
+    for bus in doc["buses"]:
+        bus["sigma"] = wind_scale * bus.get("sigma", 0.0)
+    net, _ = parse_case_dict(doc)
+    rep = read_report(DATA / golden)
+    return net, Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
+
+
+SCREEN_CASES = {
+    "case9": lambda: _golden("cases/case9_wind.json", "ccopf_case9_wind.json"),
+    # at its own wind no line of mesh100 comes within 6 deviations of a limit
+    "mesh100": lambda: _golden(DATA / "mesh100.json", "ccopf_mesh100.json", wind_scale=3.0),
+    "limits": lambda: (limits_grid(), Dispatch(p=np.array([1.6, 0.0]), alpha=np.array([0.5, 0.5]))),
+    "windless": lambda: (windless_grid(), Dispatch(p=np.array([2.4]), alpha=np.array([1.0]))),
+}
+
+
+def _dense_tallies(net, disp, n_samples, seed):
+    """(thermal_pos, thermal_neg, sync_pos, sync_neg) counts from the gap of
+    every line at every sample, drawn from run_mc's Philox stream, with no
+    screen; also the largest |z| of the draws."""
+    sens = net.gap_sensitivity
+    mean, coeff = sens.mean(disp), sens.response(disp)
+    cap_t = net.pbar / net.beta
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    z = ndtri(np.clip(rng.random((n_samples, net.wind_index.size)), 1e-16, 1.0 - 1e-16))
+    w = z * sens.sigma
+    counts = np.zeros((4, net.n_line), dtype=np.int64)
+    for line in range(net.n_line):
+        gap = mean[line] + w @ coeff[line]
+        counts[:, line] = (np.count_nonzero(gap > cap_t[line]), np.count_nonzero(gap < -cap_t[line]),
+                           np.count_nonzero(gap >= 1.0), np.count_nonzero(gap <= -1.0))
+    z_max = float(np.max(np.linalg.norm(z, axis=1)))
+    return counts, z_max
+
+
+@pytest.mark.parametrize("name", list(SCREEN_CASES))
+def test_screened_tallies_match_dense_reference(monkeypatch, name):
+    net, disp = SCREEN_CASES[name]()
+    n = 40_000
+    want, z_max = _dense_tallies(net, disp, n, seed=31)
+    for chunk_target in (mc_mod._CHUNK_TARGET, 997 * net.n_line):  # one chunk, then 41
+        monkeypatch.setattr(mc_mod, "_CHUNK_TARGET", chunk_target)
+        rep = run_mc(net, disp, n_samples=n, seed=31, nonlinear=False)
+        got = np.array([rep.thermal_pos, rep.thermal_neg, rep.sync_pos, rep.sync_neg]) * n
+        assert np.array_equal(np.rint(got).astype(np.int64), want)
+    # the screen skips some lines in every chunk, and some lines it keeps trip
+    sens = net.gap_sensitivity
+    margin = np.minimum(net.pbar / net.beta, 1.0) - np.abs(sens.mean(disp))
+    assert np.any(margin > 2.0 * sens.spread(disp) * z_max + 1e-6)
+    assert np.any(want)
+
+
+def test_screen_keeps_sync_limit_and_deterministic_violation():
+    net, disp = SCREEN_CASES["limits"]()
+    rep = run_mc(net, disp, n_samples=40_000, seed=31, nonlinear=False)
+    assert rep.sync_pos[0] > 0 and rep.thermal_freq[0] == 0.0  # sync binds below pbar/beta
+    assert rep.thermal_pos[3] == 1.0 and rep.sync_freq[3] == 0.0
+    net, disp = SCREEN_CASES["windless"]()
+    rep = run_mc(net, disp, n_samples=100, seed=31, nonlinear=False)
+    assert rep.sync_pos[0] == 1.0 and rep.thermal_freq[0] == 0.0
+    assert rep.thermal_neg[1] == 1.0 and rep.thermal_freq[2] == rep.sync_freq[2] == 0.0
 
 
 def test_frequencies_match_analytic_probability():

@@ -210,10 +210,12 @@ def test_ill_conditioned_dependent_rows_solve_to_optimal(n, seed):
     assert sol.objective <= at_x0 + 1e-12 * abs(at_x0)
 
 
-@pytest.mark.parametrize("n, seed", [(11, 1068), (12, 1159), (5, 1242), (11, 1648)])
+@pytest.mark.parametrize("n, seed", [(11, 1068), (12, 1159), (5, 1242), (11, 1648), (11, 1027), (12, 1943)])
 def test_large_dual_on_active_row_logs_no_kkt_warning(n, seed, caplog):
     # an active row with a dual of 1e8 to 1e9 and a slack of roundoff size:
-    # the plain |dual * slack| read up to 1.5e-2 on these draws
+    # the plain |dual * slack| read up to 1.5e-2 on these draws; on the last
+    # two, duals of 2.4e11 and 5.8e9 left a stationarity sum of about
+    # |dual| * eps, 1.4e-4 and 4.2e-6 in absolute terms
     qp, _ = _ill_conditioned_qp(n, seed)
     with caplog.at_level(logging.WARNING, logger=qp_mod.__name__):
         sol = solve_qp(qp)
@@ -222,12 +224,15 @@ def test_large_dual_on_active_row_logs_no_kkt_warning(n, seed, caplog):
 
 
 def test_perturbed_dual_trips_kkt_warning(monkeypatch, caplog):
+    # every row's slack is below 1e-3 here and the active duals near 9e8, so
+    # a dual of 1e-2 on the slackest row shows in complementarity (9.3e-6);
+    # the stationarity it breaks is 1e-12 of the size of its terms
     qp, _ = _ill_conditioned_qp(12, 1159)
     package = qp_mod._package
 
     def perturbed(*args):
         sol = package(*args)
-        sol.duals_in[np.argmax(qp.b_in - qp.A_in @ sol.x)] += 1e-3  # on the slackest row
+        sol.duals_in[np.argmax(qp.b_in - qp.A_in @ sol.x)] += 1e-2  # on the slackest row
         return sol
 
     monkeypatch.setattr(qp_mod, "_package", perturbed)
@@ -245,6 +250,16 @@ def test_complementarity_alone_trips_kkt_residual():
     wrong = dataclasses.replace(sol, x=np.array([0.5]), duals_in=np.array([0.5]))
     assert _kkt_residual(qp, wrong) == pytest.approx(0.75 / (1.0 + 0.5 * 2.5))
     assert _kkt_residual(qp, wrong) > 100 * TOL_KKT
+
+
+def test_stationarity_alone_trips_kkt_residual():
+    # min (x - 1)^2 / 2 with no constraints: at x = 0.5 the gradient -0.5
+    # against terms of size 0.5 + 1
+    qp = QuadraticProgram(Q=[[1.0]], c=[-1.0])
+    sol = solve_qp(qp)
+    assert sol.kkt_residual <= 1e-12
+    wrong = dataclasses.replace(sol, x=np.array([0.5]))
+    assert _kkt_residual(qp, wrong) == pytest.approx(0.5 / 2.5)
 
 
 def test_dimension_validation():
