@@ -11,10 +11,10 @@ events |gap| >= 1, with per-side tallies. With w = z * sigma, line l's
 deviation C_l w = (C_l * sigma) z is at most spread_l * |z| by
 Cauchy-Schwarz, spread_l being the line's standard deviation. So a chunk
 forms gaps only for the lines whose bound spread * max|z| reaches the
-margin min(pbar / beta, 1) - |mean|. The bound carries a relative slack
-of 1e-9 on spread * max|z| and on |mean| + spread, far above the
-n_w * eps rounding of the dot product and of the norms, so a skipped
-line would have tallied no event in computed arithmetic either. Near an
+margin min(pbar / beta, 1) - |mean|. The bound carries one slack,
+1e-9 * (|mean| + spread) * (1 + max|z|), far above the n_w * eps
+rounding of the dot product and of the norms, so a skipped line would
+have tallied no event in computed arithmetic either. Near an
 optimum few lines come near a limit (3 of 1500 on a 1000-bus grid), and
 a chunk then costs about its draws instead of lines * wind buses per
 sample.
@@ -146,7 +146,6 @@ def run_mc(
     spread = sens.spread(dispatch)
     abs_mean = np.abs(mean)
     margin = np.minimum(cap_t, 1.0) - abs_mean
-    slack = 1e-9 * (abs_mean + spread)
     if nonlinear:
         batch = max(1, min(_BATCH_SAMPLES,
                            _BATCH_TARGET // max(m * net.spanning_tree.chords.size, 1)))
@@ -177,7 +176,7 @@ def run_mc(
             w = np.zeros((size, 0))
             z_max = 0.0
         live = np.flatnonzero(
-            spread * z_max * (1.0 + 1e-9) + slack * (1.0 + z_max) >= margin)
+            spread * z_max + 1e-9 * (abs_mean + spread) * (1.0 + z_max) >= margin)
         gaps = w @ coeff[live].T
         gaps += mean[live]
         th_pos[live] += np.count_nonzero(gaps > cap_t[live], axis=0)

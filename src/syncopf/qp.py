@@ -188,7 +188,7 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
-    residual (stationarity relative to the size of its terms and
+    residual (stationarity net of the roundoff of its terms and
     complementarity relative to the dual and the row, see _kkt_residual
     and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
     Deterministic for identical input.
@@ -417,9 +417,10 @@ def _package(qp, rows, x, duals, status, iters) -> QpSolution:
 def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
     """Max-norm KKT residual: stationarity, feasibility, complementarity.
 
-    Each stationarity entry is divided by 1 plus the magnitude of its
-    terms, as _complementarity divides by the size of its slack: a sum of
-    terms near |dual| * |a| cancels only to the roundoff of that size.
+    A stationarity entry sums k terms, and with duals near 1e9 they cancel
+    only to about k * eps times their summed magnitude.  That roundoff bound
+    is taken off each entry before the max, so a residual of the size of
+    roundoff reads 0 while an error above it shows at its full size.
     """
     x = sol.x
     grad = qp.Q @ x + qp.c
@@ -433,7 +434,8 @@ def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
         size = size + np.abs(qp.A_eq.T) @ np.abs(sol.duals_eq)
     grad = grad - sol.duals_lo + sol.duals_hi
     size = size + np.abs(sol.duals_lo) + np.abs(sol.duals_hi)
-    res = float(np.max(np.abs(grad) / (1.0 + size), initial=0.0))
+    terms = x.size + len(sol.duals_in) + len(sol.duals_eq) + 2
+    res = float(np.max(np.abs(grad) - terms * np.finfo(float).eps * size, initial=0.0))
     if qp.A_eq is not None and qp.A_eq.shape[0]:
         res = max(res, float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))))
     if qp.A_in is not None and qp.A_in.shape[0]:
