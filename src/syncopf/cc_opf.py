@@ -29,6 +29,11 @@ the dense QP engine at the size of the truly binding rows; an auxiliary
 epigraph variable per line would pin one always-active row per line and
 scale cubically on large cases. The feasible sets are identical.
 
+The base rows and the initial tangents are assembled once (_CutRows);
+each iteration appends only the new cuts' rows, so its QP is the
+previous one with rows appended, and solve_qp resumes from the previous
+optimum instead of starting over.
+
 Generator limits are tightened by eta(eps_gen) times the total wind
 standard deviation, not scaled by alpha.
 """
@@ -194,40 +199,63 @@ class CcSolution:
     mean_flow: np.ndarray | None = None
 
 
-def _assemble_inequalities(table: ConicTable, cuts: list):
-    """Base deterministic rows plus substituted tangent rows.
+class _CutRows:
+    """The QP's inequality rows over (p, alpha): the base rows, then each
+    added cut's rows in the order the cuts were added.
 
     Base rows are the zero tangent S >= 0:  +-mean <= min(bound_t, 1).
-    Each stored cut contributes +-mean + eta * tangent(alpha) <= bound
-    for every kind with eta > 0 (eta = 0 rows duplicate the base), the
+    Each cut contributes +-mean + eta * tangent(alpha) <= bound for
+    every kind with eta > 0 (eta = 0 rows duplicate the base), the
     thermal kind first; a line whose two kinds share eta gets one pair
     of rows against the smaller bound.
+
+    The rows live in one buffer with spare capacity, so adding cuts
+    writes only their rows, and view() returns the rows so far without
+    a copy: each QP of the loop sees the rows of the one before as its
+    leading rows, in the same memory.
     """
-    dmat, off = table.gen, table.offset
-    m, g = dmat.shape
-    cap = np.minimum(table.bound, 1.0)
-    same = np.abs(table.eta_t - table.eta_s) < 1e-15
-    kind_eta = np.column_stack([table.eta_t, np.where(same, 0.0, table.eta_s)])
-    kind_bound = np.column_stack([np.where(same, cap, table.bound), np.ones(m)])
 
-    lines = np.array([c.line for c in cuts], dtype=int)
-    grad = np.array([c.grad for c in cuts])
-    intercept = np.array([c.s_hat - c.grad * c.d_hat for c in cuts])
-    cut_idx, kind = np.nonzero(kind_eta[lines] > 0.0)  # cut-major, thermal first
-    k = lines[cut_idx]
-    eta_k = kind_eta[k, kind]
-    coeff = (eta_k * grad[cut_idx])[:, None] * dmat[k]
-    rhs = kind_bound[k, kind] - eta_k * intercept[cut_idx]
-    cut_rows = np.stack(
-        [np.hstack([dmat[k], coeff]), np.hstack([-dmat[k], coeff])], axis=1
-    ).reshape(-1, 2 * g)
+    def __init__(self, table: ConicTable):
+        self.table = table
+        dmat, off = table.gen, table.offset
+        m, g = dmat.shape
+        cap = np.minimum(table.bound, 1.0)
+        same = np.abs(table.eta_t - table.eta_s) < 1e-15
+        self._eta = np.column_stack([table.eta_t, np.where(same, 0.0, table.eta_s)])
+        self._bound = np.column_stack([np.where(same, cap, table.bound), np.ones(m)])
+        self._a = np.zeros((2 * m, 2 * g))
+        self._a[:m, :g] = dmat
+        self._a[m:, :g] = -dmat
+        self._b = np.concatenate([cap - off, cap + off])
+        self.size = 2 * m
 
-    zeros = np.zeros((m, g))
-    a_in = np.vstack([np.hstack([dmat, zeros]), np.hstack([-dmat, zeros]), cut_rows])
-    b_in = np.concatenate(
-        [cap - off, cap + off, np.column_stack([rhs - off[k], rhs + off[k]]).ravel()]
-    )
-    return a_in, b_in
+    def view(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows so far as (A_in, b_in), views of the buffer."""
+        return self._a[: self.size], self._b[: self.size]
+
+    def add(self, cuts: list) -> None:
+        """Append the rows of cuts."""
+        dmat, off = self.table.gen, self.table.offset
+        g = dmat.shape[1]
+        lines = np.array([c.line for c in cuts], dtype=int)
+        grad = np.array([c.grad for c in cuts])
+        intercept = np.array([c.s_hat - c.grad * c.d_hat for c in cuts])
+        cut_idx, kind = np.nonzero(self._eta[lines] > 0.0)  # cut-major, thermal first
+        k = lines[cut_idx]
+        eta_k = self._eta[k, kind]
+        rhs = self._bound[k, kind] - eta_k * intercept[cut_idx]
+        end = self.size + 2 * k.size
+        if end > self._b.size:
+            spare = end // 4 + end - self.size
+            self._a = np.concatenate([self._a[: self.size], np.zeros((spare, 2 * g))])
+            self._b = np.concatenate([self._b[: self.size], np.zeros(spare)])
+        a, b = self._a[self.size : end], self._b[self.size : end]
+        a[0::2, :g] = dmat[k]
+        a[1::2, :g] = -dmat[k]
+        a[0::2, g:] = a[1::2, g:] = (eta_k * grad[cut_idx])[:, None] * dmat[k]
+        b[0::2] = rhs - off[k]
+        b[1::2] = rhs + off[k]
+        self.size = end
 
 
 def solve_cc_opf(
@@ -280,24 +308,20 @@ def solve_cc_opf(
     hi = np.concatenate([hi_p, np.full(g, np.inf)])
     c3_total = float(np.sum(net.cost_const))
 
+    Q = np.diag(quad)
     cuts: list[Cut] = _tangents(table, np.arange(m), np.zeros(m), 0)
+    rows = _CutRows(table)
+    rows.add(cuts)
     log: list[IterationRecord] = []
     trace: list[float] = []
     violated_counts: list[int] = []
+    sol = None
 
     for it in range(1, max_iter + 1):
-        a_in, b_in = _assemble_inequalities(table, cuts)
-        qp = QuadraticProgram(
-            Q=np.diag(quad),
-            c=lin,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            A_in=a_in,
-            b_in=b_in,
-            lo=lo,
-            hi=hi,
-        )
-        sol = solve_qp(qp)
+        a_in, b_in = rows.view()
+        qp = QuadraticProgram(Q=Q, c=lin, A_eq=a_eq, b_eq=b_eq, A_in=a_in, b_in=b_in, lo=lo, hi=hi)
+        # each QP is the previous one with the new cuts' rows appended
+        sol = solve_qp(qp, warm=sol)
         if sol.status == INFEASIBLE:
             raise InfeasibleError("chance-constrained QP relaxation is infeasible")
         if sol.status == ITER_LIMIT:
@@ -333,7 +357,9 @@ def solve_cc_opf(
             lines = np.unique(np.flatnonzero(viol > tol_cut) // 2)
         else:
             lines = np.array([line])
-        cuts += _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
+        new = _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
+        cuts += new
+        rows.add(new)
         logger.info(
             "cut iteration %d: line %d %s violation %.3e (%d violated)",
             it,

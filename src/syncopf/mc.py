@@ -17,7 +17,8 @@ rounding of the dot product and of the norms, so a skipped line would
 have tallied no event in computed arithmetic either. Near an
 optimum few lines come near a limit (3 of 1500 on a 1000-bus grid), and
 a chunk then costs about its draws instead of lines * wind buses per
-sample.
+sample. Generator limits are tallied on the chunk's sorted total
+deviations, by bisection per generator (see _generator_tally).
 
 The nonlinear check re-solves the sine power flow of every sample
 (thermal cap off) with solve_pf_batch, in sub-batches of
@@ -185,10 +186,10 @@ def run_mc(
         sy_neg[live] += np.count_nonzero(gaps <= -1.0, axis=0)
         del gaps  # before the sub-batches and the next chunk's draws
 
-        w_tot = w.sum(axis=1)
-        outputs = dispatch.p[None, :] - np.outer(w_tot, dispatch.alpha)
-        g_over += np.count_nonzero(outputs > net.pmax[None, :], axis=0)
-        g_under += np.count_nonzero(outputs < net.pmin[None, :], axis=0)
+        over, under = _generator_tally(np.sort(w.sum(axis=1)), dispatch.p, dispatch.alpha,
+                                       net.pmin, net.pmax)
+        g_over += over
+        g_under += under
 
         if nonlinear:
             for lo in range(0, size, batch):
@@ -230,6 +231,35 @@ def run_mc(
         logger.warning("%d/%d nonlinear solves failed (counted as sync loss)",
                        failures, n_samples)
     return report
+
+
+def _generator_tally(w_sorted, p, alpha, pmin, pmax):
+    """Per generator, the number of draws whose output p - alpha * w is
+    above pmax and below pmin, for the total deviations w in ascending order.
+
+    Rounding is monotone, so each output is monotone in w in floating
+    point too: falling where alpha >= 0, rising where alpha < 0. Each
+    event is then a run at one end of the sorted draws, and a bisection
+    per generator finds where it ends, evaluating the same expression
+    as a count over every draw would.
+    """
+    size = w_sorted.size
+    rising = alpha < 0.0
+
+    def count(event, leading):
+        # event(out) holds on the first draws where leading, else on the
+        # last; the draws before lo are in the first run, those from hi on
+        # are not
+        lo = np.zeros(p.size, dtype=np.int64)
+        hi = np.full(p.size, size)
+        for _ in range(size.bit_length()):
+            mid = (lo + hi) // 2
+            first = event(p - alpha * w_sorted[np.minimum(mid, size - 1)]) == leading
+            live = lo < hi
+            lo, hi = np.where(live & first, mid + 1, lo), np.where(live & ~first, mid, hi)
+        return np.where(leading, lo, size - lo)
+
+    return count(lambda out: out > pmax, ~rising), count(lambda out: out < pmin, rising)
 
 
 def certify(report: McReport, chance: ChanceSpec) -> tuple[bool, list]:

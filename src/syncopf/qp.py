@@ -30,6 +30,15 @@ roundoff over the adds and drops, and an active bound can end a few ulps
 outside its limit: without the polish, case9's DC-OPF leaves a generator
 one ulp above pmax, and its reported prob_bounds reads 1 instead of 0.
 
+A solve can resume from an earlier Optimal solution of the same QP with
+inequality rows appended (solve_qp(qp, warm=previous)), keeping its J,
+R, unpolished x, active rows, multipliers and equality sign flips.
+Appended rows leave that state dual feasible: x still minimizes the
+objective on the active rows and the multipliers stay nonnegative, so
+the most-violated-row loop just continues, and at first only the new
+rows can be violated beyond TOL_FEAS.  A cold solve is the same loop
+started from an empty working set.
+
 Sources: D. Goldfarb and A. Idnani, "A numerically stable dual method
 for solving strictly convex quadratic programs", Math. Programming 27
 (1983) 1-33; M. J. D. Powell, "On the quadratic programming algorithm
@@ -46,7 +55,7 @@ min x^2 + y^2 s.t. x + y = 1 the equality dual is 1.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -126,6 +135,8 @@ class QpSolution:
     duals_hi: np.ndarray
     iterations: int
     kkt_residual: float = 0.0
+    # the iteration's end state, from which solve_qp(..., warm=self) resumes
+    working_set: _WorkingSet | None = field(default=None, repr=False)
 
 
 OPTIMAL = "Optimal"
@@ -134,112 +145,149 @@ ITER_LIMIT = "IterLimit"
 
 
 class _Rows:
-    """Stacked constraint rows in the internal form  a'x >= b.
+    """The constraint rows in the internal form  a'x >= b.
 
     Order: equalities first (sign-flipped as needed during the solve),
     then user inequalities (negated), then lower bounds, then upper
-    bounds (negated). Keeps bookkeeping for mapping duals back out.
+    bounds (negated). Nothing is stacked or copied: a row is read from
+    its block of the QP when it enters the working set, and a bound row
+    stays the unit vector it stands for, so its residual b - a'x is
+    lo - x (or x - hi) exactly.
     """
 
     def __init__(self, qp: QuadraticProgram):
-        n = qp.n
-        blocks_a: list[np.ndarray] = []
-        blocks_b: list[np.ndarray] = []
+        self.qp = qp
         self.n_eq = 0 if qp.A_eq is None else qp.A_eq.shape[0]
-        if qp.A_eq is not None:
-            blocks_a.append(qp.A_eq)
-            blocks_b.append(qp.b_eq)
         self.n_in = 0 if qp.A_in is None else qp.A_in.shape[0]
-        if qp.A_in is not None:
-            blocks_a.append(-qp.A_in)
-            blocks_b.append(-qp.b_in)
-        self.lo_idx = np.array([], dtype=int)
-        self.hi_idx = np.array([], dtype=int)
-        if qp.lo is not None:
-            self.lo_idx = np.flatnonzero(np.isfinite(qp.lo))
-            if self.lo_idx.size:
-                rows = np.zeros((self.lo_idx.size, n))
-                rows[np.arange(self.lo_idx.size), self.lo_idx] = 1.0
-                blocks_a.append(rows)
-                blocks_b.append(qp.lo[self.lo_idx])
-        if qp.hi is not None:
-            self.hi_idx = np.flatnonzero(np.isfinite(qp.hi))
-            if self.hi_idx.size:
-                rows = np.zeros((self.hi_idx.size, n))
-                rows[np.arange(self.hi_idx.size), self.hi_idx] = -1.0
-                blocks_a.append(rows)
-                blocks_b.append(-qp.hi[self.hi_idx])
-        if blocks_a:
-            self.A = np.vstack(blocks_a)
-            self.b = np.concatenate(blocks_b)
-        else:
-            self.A = np.zeros((0, n))
-            self.b = np.zeros(0)
-        self.m = self.A.shape[0]
-        # internal sign flips applied to equality rows (see add_constraint)
-        self.flip = np.ones(self.m)
+        lo = np.full(qp.n, -np.inf) if qp.lo is None else qp.lo
+        hi = np.full(qp.n, np.inf) if qp.hi is None else qp.hi
+        self.lo_idx = np.flatnonzero(np.isfinite(lo))
+        self.hi_idx = np.flatnonzero(np.isfinite(hi))
+        self.lo, self.hi = lo[self.lo_idx], hi[self.hi_idx]
+        self.m = self.n_eq + self.n_in + self.lo_idx.size + self.hi_idx.size
 
-    def is_eq(self, row: int) -> bool:
-        return row < self.n_eq
+    def row(self, p: int) -> tuple[np.ndarray, float]:
+        """Row p as (a, b)."""
+        qp = self.qp
+        if p < self.n_eq:
+            return qp.A_eq[p], qp.b_eq[p]
+        p -= self.n_eq
+        if p < self.n_in:
+            return -qp.A_in[p], -qp.b_in[p]
+        p -= self.n_in
+        a = np.zeros(qp.n)
+        if p < self.lo_idx.size:
+            a[self.lo_idx[p]] = 1.0
+            return a, self.lo[p]
+        p -= self.lo_idx.size
+        a[self.hi_idx[p]] = -1.0
+        return a, -self.hi[p]
+
+    def violations(self, x: np.ndarray) -> np.ndarray:
+        """b - a'x over every row but the equalities, in row order."""
+        ineq = self.qp.A_in @ x - self.qp.b_in if self.n_in else np.zeros(0)
+        return np.concatenate([ineq, self.lo - x[self.lo_idx], x[self.hi_idx] - self.hi])
 
 
-def solve_qp(qp: QuadraticProgram) -> QpSolution:
-    """Solve a convex QP and measure the result against its KKT system.
+@dataclass
+class _WorkingSet:
+    """The dual iterate of Goldfarb and Idnani on one QP.
 
-    Status Optimal means no inequality row is violated by more than
-    TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
-    residual (stationarity net of the roundoff of its terms and
-    complementarity relative to the dual and the row, see _kkt_residual
-    and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
-    Deterministic for identical input.
+    x minimizes the objective subject to the active rows held as
+    equalities; lam are their multipliers (internal sign, >= 0 on
+    inequality rows), J and R the factorization of the module docstring,
+    and flip the sign applied to each equality row when it was pinned.
     """
-    n = qp.n
-    rows = _Rows(qp)
-    max_iter = _STEPS_PER_ROW * (n + rows.m)
 
-    try:
-        L = np.linalg.cholesky(qp.Q)
-    except np.linalg.LinAlgError:
-        logger.info("Q not positive definite; regularizing with %g * I", _REG)
+    qp: QuadraticProgram
+    J: np.ndarray
+    R: np.ndarray  # R[:q, :q] is the active rows' triangular factor
+    x: np.ndarray
+    active: list[int]
+    lam: list[float]
+    flip: np.ndarray
+    iters: int = 0  # steps taken by this solve
+
+    @classmethod
+    def empty(cls, qp: QuadraticProgram, n_eq: int) -> _WorkingSet:
+        """The unconstrained minimizer with no row active."""
+        n = qp.n
         try:
-            L = np.linalg.cholesky(qp.Q + _REG * np.eye(n))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalBreakdownError("cholesky failed on regularized Q") from exc
+            L = np.linalg.cholesky(qp.Q)
+        except np.linalg.LinAlgError:
+            logger.info("Q not positive definite; regularizing with %g * I", _REG)
+            try:
+                L = np.linalg.cholesky(qp.Q + _REG * np.eye(n))
+            except np.linalg.LinAlgError as exc:
+                raise NumericalBreakdownError("cholesky failed on regularized Q") from exc
+        J = np.linalg.inv(L).T
+        return cls(qp, J, np.zeros((n, n)), -J @ (J.T @ qp.c), [], [], np.ones(n_eq))
 
-    J = np.linalg.inv(L).T
-    R = np.zeros((n, n))  # R[:q, :q] is the active rows' triangular factor
-    x = -J @ (J.T @ qp.c)
-    active: list[int] = []
-    lam: list[float] = []
+    @classmethod
+    def resume(cls, warm: QpSolution, qp: QuadraticProgram, rows: _Rows) -> _WorkingSet:
+        """A copy of warm's end state, its rows renumbered for qp."""
+        ws = warm.working_set
+        if warm.status != OPTIMAL or ws is None:
+            raise ValueError("a warm start needs an Optimal solution returned by solve_qp")
+        if not _rows_appended(ws.qp, qp):
+            raise ValueError(
+                "warm start is not a solution of this QP with inequality rows appended")
+        old_in = 0 if ws.qp.A_in is None else ws.qp.A_in.shape[0]
+        end, shift = rows.n_eq + old_in, rows.n_in - old_in
+        active = [j + shift if j >= end else j for j in ws.active]
+        return cls(qp, ws.J.copy(), ws.R.copy(), ws.x, active, list(ws.lam), ws.flip.copy())
 
-    iters = 0
-    status = OPTIMAL
+    def run(self, rows: _Rows) -> str:
+        """Pin the equalities not yet active, then add the most violated
+        row until none is violated by more than TOL_FEAS."""
+        max_iter = _STEPS_PER_ROW * (self.qp.n + rows.m)
+        for p in range(rows.n_eq):
+            # pinned even when already satisfied
+            if p not in self.active:
+                status = self._add_constraint(rows, p, max_iter)
+                if status != OPTIMAL:
+                    return status
+        while True:
+            viol = rows.violations(self.x)
+            if not viol.size:
+                return OPTIMAL
+            p_rel = int(np.argmax(viol))
+            worst = viol[p_rel]
+            if worst <= TOL_FEAS:
+                return OPTIMAL
+            if self.iters > max_iter:
+                return ITER_LIMIT
+            p = rows.n_eq + p_rel
+            if p in self.active:
+                # numerically re-violated active row; nudge tolerance
+                return OPTIMAL if worst <= 10 * TOL_FEAS else ITER_LIMIT
+            status = self._add_constraint(rows, p, max_iter)
+            if status != OPTIMAL:
+                return status
 
-    def add_constraint(p: int) -> str:
-        nonlocal x, iters
-        sign = 1.0
-        resid = rows.b[p] - rows.A[p] @ x
-        if rows.is_eq(p) and resid < 0:
-            sign = -1.0
-        rows.flip[p] = sign
-        a_new = rows.A[p] * sign
-        b_new = rows.b[p] * sign
+    def _add_constraint(self, rows: _Rows, p: int, max_iter: int) -> str:
+        a_new, b_new = rows.row(p)
+        if p < rows.n_eq:
+            self.flip[p] = -1.0 if b_new - a_new @ self.x < 0 else 1.0
+            a_new = a_new * self.flip[p]
+            b_new = b_new * self.flip[p]
+        J, R, active, lam = self.J, self.R, self.active, self.lam
         lam_p = 0.0
         while True:
-            iters += 1
-            if iters > max_iter:
+            self.iters += 1
+            if self.iters > max_iter:
                 return ITER_LIMIT
             q = len(active)
             d = J.T @ a_new
             z = J[:, q:] @ d[q:]
             r = dtrtrs(R[:q, :q], d[:q])[0] if q else d[:0]
             znp = a_new @ z
-            viol = b_new - a_new @ x
+            viol = b_new - a_new @ self.x
             # dual blocking: only inequality rows can leave the active set
             t1 = np.inf
             blocker = -1
             for idx, j in enumerate(active):
-                if rows.is_eq(j):
+                if j < rows.n_eq:
                     continue
                 if r[idx] > 1e-12:
                     ratio = lam[idx] / r[idx]
@@ -254,37 +302,39 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
                 for idx in range(len(active)):
                     lam[idx] -= t * r[idx]
                 lam_p += t
-                _drop(blocker)
+                self._drop(blocker)
                 continue
             t2 = viol / znp
             t = min(t1, t2)
             if not np.isfinite(t):
                 return INFEASIBLE
-            x = x + t * z
+            self.x = self.x + t * z
             for idx in range(len(active)):
                 lam[idx] -= t * r[idx]
             lam_p += t
             if t2 <= t1:
-                _add(p, d, lam_p)
+                self._add(p, d, lam_p)
                 return OPTIMAL
-            _drop(blocker)
+            self._drop(blocker)
 
-    def _add(p: int, d: np.ndarray, lam_p: float) -> None:
+    def _add(self, p: int, d: np.ndarray, lam_p: float) -> None:
         # reflect d[q:] onto its first axis, so J'a has no entries past q
-        q = len(active)
+        J, R = self.J, self.R
+        q = len(self.active)
         v = d[q:].copy()
         head = -np.copysign(np.linalg.norm(v), v[0])
         v[0] -= head
         J[:, q:] -= np.outer(J[:, q:] @ v, v * (2.0 / (v @ v)))
         R[:q, q] = d[:q]
         R[q, q] = head
-        active.append(p)
-        lam.append(lam_p)
+        self.active.append(p)
+        self.lam.append(lam_p)
 
-    def _drop(idx: int) -> None:
+    def _drop(self, idx: int) -> None:
         # delete R's column idx, then rotate the Hessenberg rest back to
         # triangular form, turning J's column pairs alike
-        q = len(active)
+        J, R = self.J, self.R
+        q = len(self.active)
         R[:q, idx : q - 1] = R[:q, idx + 1 : q]
         R[:q, q - 1] = 0.0
         for k in range(idx, q - 1):
@@ -293,48 +343,67 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
             R[k : k + 2, k : q - 1] = rot @ R[k : k + 2, k : q - 1]
             R[k + 1, k] = 0.0
             J[:, k : k + 2] = J[:, k : k + 2] @ rot.T
-        del active[idx]
-        del lam[idx]
+        del self.active[idx]
+        del self.lam[idx]
 
-    # equalities first (pinned even when already satisfied), then
-    # most-violated inequalities
-    for p in range(rows.n_eq):
-        status = add_constraint(p)
-        if status != OPTIMAL:
-            break
 
-    if status == OPTIMAL:
-        while True:
-            if rows.m > rows.n_eq:
-                viol = rows.b[rows.n_eq:] - rows.A[rows.n_eq:] @ x
-                p_rel = int(np.argmax(viol))
-                worst = viol[p_rel]
-            else:
-                worst = -np.inf
-            if worst <= TOL_FEAS:
-                break
-            if iters > max_iter:
-                status = ITER_LIMIT
-                break
-            p = rows.n_eq + p_rel
-            if p in active:
-                # numerically re-violated active row; nudge tolerance
-                if worst <= 10 * TOL_FEAS:
-                    break
-                status = ITER_LIMIT
-                break
-            status = add_constraint(p)
-            if status != OPTIMAL:
-                break
+def _same(a, b) -> bool:
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
+
+
+def _rows_appended(old: QuadraticProgram, new: QuadraticProgram) -> bool:
+    """Whether new is old with inequality rows appended.
+
+    The leading rows of A_in are compared only when they are not the
+    very memory of old's, as when a caller appends to one buffer."""
+    if not all(_same(getattr(old, k), getattr(new, k))
+               for k in ("Q", "c", "A_eq", "b_eq", "lo", "hi")):
+        return False
+    if old.A_in is None:
+        return True
+    if new.A_in is None or new.A_in.shape[0] < old.A_in.shape[0]:
+        return False
+    k = old.A_in.shape[0]
+    head = new.A_in[:k]
+    same_memory = (head.__array_interface__["data"] == old.A_in.__array_interface__["data"]
+                   and head.strides == old.A_in.strides)
+    return (same_memory or np.array_equal(head, old.A_in)) and np.array_equal(
+        new.b_in[:k], old.b_in)
+
+
+def solve_qp(qp: QuadraticProgram, warm: QpSolution | None = None) -> QpSolution:
+    """Solve a convex QP and measure the result against its KKT system.
+
+    With warm, an Optimal solution of this QP before inequality rows were
+    appended to A_in (and b_in), the iteration resumes from warm's end
+    state instead of the unconstrained minimizer; ValueError if qp is not
+    warm's QP with rows appended. The QP's arrays are read, not copied,
+    and must not change between the two solves.
+
+    Status Optimal means no inequality row is violated by more than
+    TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
+    residual (stationarity net of the roundoff of its terms and
+    complementarity relative to the dual and the row, see _kkt_residual
+    and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
+    Deterministic for identical input.
+    """
+    rows = _Rows(qp)
+    if warm is None:
+        ws = _WorkingSet.empty(qp, rows.n_eq)
+    else:
+        ws = _WorkingSet.resume(warm, qp, rows)
+    status = ws.run(rows)
 
     duals = np.zeros(rows.m)
-    for idx, j in enumerate(active):
-        duals[j] = lam[idx] * rows.flip[j]
+    for j, lam_j in zip(ws.active, ws.lam):
+        duals[j] = lam_j * ws.flip[j] if j < rows.n_eq else lam_j
 
-    if status == OPTIMAL and active:
-        x, duals = _polish(qp, rows, active, x, duals)
+    x = ws.x
+    if status == OPTIMAL and ws.active:
+        x, duals = _polish(qp, rows, ws.active, x, duals)
 
-    sol = _package(qp, rows, x, duals, status, iters)
+    sol = _package(qp, rows, x, duals, status, ws.iters)
+    sol.working_set = ws
     if status == OPTIMAL:
         sol.kkt_residual = _kkt_residual(qp, sol)
         if sol.kkt_residual > 100 * TOL_KKT:
@@ -351,13 +420,14 @@ def _polish(qp, rows, active, x, duals):
     """
     n = qp.n
     act = sorted(active)
-    N = rows.A[act]
+    N, b_act = zip(*(rows.row(j) for j in act))
+    N = np.array(N)
     k = len(act)
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = qp.Q
     kkt[:n, n:] = N.T
     kkt[n:, :n] = N
-    rhs = np.concatenate([-qp.c, rows.b[act]])
+    rhs = np.concatenate([-qp.c, b_act])
     try:
         sol = np.linalg.solve(kkt, rhs)
         # one step of iterative refinement
@@ -373,18 +443,12 @@ def _polish(qp, rows, active, x, duals):
     for i, j in enumerate(act):
         duals_new[j] = -y[i]
     # reject the polish if it breaks sign or feasibility
-    ineq = [j for j in act if not rows.is_eq(j)]
-    if any(duals_new[j] < -1e-9 for j in ineq):
+    if any(duals_new[j] < -1e-9 for j in act if j >= rows.n_eq):
         return x, duals
-    if rows.m:
-        worst = np.max(rows.b - rows.A @ x_new) if rows.m else 0.0
-        eqr = (
-            np.max(np.abs(rows.b[: rows.n_eq] - rows.A[: rows.n_eq] @ x_new))
-            if rows.n_eq
-            else 0.0
-        )
-        if worst > 1e-8 or eqr > 1e-8:
-            return x, duals
+    worst = np.max(rows.violations(x_new), initial=0.0)
+    eqr = np.max(np.abs(qp.b_eq - qp.A_eq @ x_new)) if rows.n_eq else 0.0
+    if worst > 1e-8 or eqr > 1e-8:
+        return x, duals
     return x_new, duals_new
 
 

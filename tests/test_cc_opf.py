@@ -1,13 +1,16 @@
 """Tests for the chance-constrained OPF: the Gaussian tail multiplier,
 conic constraint algebra, analytic violation probabilities, and the
 cutting-plane solve (termination, certificates, degenerate limits)."""
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import ndtri
 
+import syncopf.cc_opf as cc_mod
 from syncopf import (
     Bus,
     ChanceSpec,
@@ -21,18 +24,21 @@ from syncopf import (
     ValidationError,
     build_conic_constraints,
     eta,
+    parse_case,
     solve_cc_opf,
     solve_scopf,
 )
 from syncopf.cc_opf import (
-    _assemble_inequalities,
+    _CutRows,
     _tangents,
     analytic_violation_prob,
     expected_cost,
     generator_violation_prob,
     one_sided_violation_probs,
 )
+from syncopf.case_io import parse_case_dict
 from syncopf.network import Dispatch
+from syncopf.qp import solve_qp
 
 
 def two_bus_wind(sigma=0.1, pbar=1.6, mu=0.2, d=1.0):
@@ -199,7 +205,10 @@ def test_assembled_rows_match_per_cut_loop():
     lines = np.arange(net.n_line)
     cuts = _tangents(table, lines, np.zeros(net.n_line), 0)
     cuts += _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)
-    a_in, b_in = _assemble_inequalities(table, cuts)
+    rows = _CutRows(table)
+    for batch in (cuts[:2], cuts[2:5], [], cuts[5:]):  # grows its buffer twice
+        rows.add(batch)
+    a_in, b_in = rows.view()
     a_ref, b_ref = _assemble_reference(table, cuts)
     assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
     assert a_in.shape[0] == 2 * net.n_line + 2 * (2 + 1 + 1) * 2
@@ -348,3 +357,39 @@ def test_cc_chance_dimension_mismatch():
     other = two_bus_wind()
     with pytest.raises(ValidationError):
         solve_cc_opf(net, ChanceSpec.uniform(other))
+
+
+def _mesh100_tight_caps():
+    # at its own caps no line of mesh100 needs a cut; at 0.6 of them the
+    # loop takes 22 one-cut iterations, 8 cutting every violated line
+    doc = json.loads((Path(__file__).parent / "data" / "mesh100.json").read_text())
+    for line in doc["lines"]:
+        line["pbar"] *= 0.6
+    return parse_case_dict(doc)
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@pytest.mark.parametrize("load", [
+    lambda: parse_case("cases/case9_wind.json"),
+    lambda: parse_case("cases/alternation.json"),
+    _mesh100_tight_caps,
+], ids=["case9", "alternation", "mesh100"])
+def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
+    # every QP of the loop resumes from the previous cut's optimum; a cold
+    # solve of the same assembled QP gives the same bits
+    net, chance = load()
+    seen = []
+
+    def spy(qp, warm=None):
+        sol = solve_qp(qp, warm=warm)
+        cold = solve_qp(qp)
+        for name in ("x", "duals_eq", "duals_in", "duals_lo", "duals_hi"):
+            assert np.array_equal(getattr(sol, name), getattr(cold, name)), (len(seen), name)
+        seen.append((warm is not None, qp.A_in.shape[0]))
+        return sol
+
+    monkeypatch.setattr(cc_mod, "solve_qp", spy)
+    res = solve_cc_opf(net, chance, add_all_violated=add_all)
+    assert len(seen) == res.iterations > 1
+    assert [w for w, _ in seen] == [False] + [True] * (res.iterations - 1)
+    assert all(a < b for (_, a), (_, b) in zip(seen, seen[1:]))

@@ -257,6 +257,16 @@ def test_ccopf_report_matches_golden(case, capsys):
     _assert_matches(json.loads((DATA / f"ccopf_{case}.json").read_text()), json.loads(out))
 
 
+@pytest.mark.parametrize("case, golden", [
+    ("cases/alternation.json", "ccopf_alternation.json"),
+    (str(DATA / "mesh100.json"), "ccopf_mesh100.json"),
+], ids=["alternation", "mesh100"])
+def test_ccopf_report_matches_golden_bytes(case, golden, capsys):
+    code, out = run(capsys, ["solve", "ccopf", "--case", case])
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
 @pytest.mark.parametrize(
     "case, golden",
     [("cases/case9_wind.json", "barrier_case9_wind.json"),

@@ -226,6 +226,29 @@ def test_screened_tallies_match_dense_reference(monkeypatch, name):
     assert np.any(want)
 
 
+def test_generator_tally_matches_dense_count():
+    # bounds put exactly on sample outputs, tied draws, alpha = 0 and
+    # alpha < 0, one generator and one draw
+    rng = np.random.default_rng(8)
+    shapes = [(1, 1), (1, 5), (7, 1)] + [
+        (int(rng.choice([1, 2, 3, 64, 1000])), int(rng.choice([1, 2, 5, 40]))) for _ in range(300)]
+    for size, g in shapes:
+        w = rng.normal(size=size) * rng.choice([1e-3, 1.0, 50.0])
+        if rng.random() < 0.5:
+            w = np.round(w, 1)
+        p = rng.uniform(0.0, 2.0, g)
+        alpha = rng.normal(size=g) * rng.choice([0.0, 1.0, 1e-8], size=g)
+        out = p - np.outer(w, alpha)
+        cols = np.arange(g)
+        pmax = np.where(rng.random(g) < 0.5, out[rng.integers(0, size, g), cols],
+                        rng.uniform(0.0, 3.0, g))
+        pmin = np.where(rng.random(g) < 0.5, out[rng.integers(0, size, g), cols],
+                        rng.uniform(-1.0, 1.0, g))
+        over, under = mc_mod._generator_tally(np.sort(w), p, alpha, pmin, pmax)
+        assert np.array_equal(over, np.count_nonzero(out > pmax, axis=0)), (size, g)
+        assert np.array_equal(under, np.count_nonzero(out < pmin, axis=0)), (size, g)
+
+
 def test_frequencies_match_analytic_probability():
     net = two_bus(sigma=0.25, pbar=1.1)
     disp = Dispatch(p=np.array([0.8]), alpha=np.array([1.0]))

@@ -266,3 +266,72 @@ def test_dimension_validation():
         QuadraticProgram(Q=np.eye(2), c=[1.0])
     with pytest.raises(ValueError):
         QuadraticProgram(Q=[[1.0, 0.5], [0.4, 1.0]], c=[0.0, 0.0])
+
+
+# --- warm start --------------------------------------------------------------
+
+def _grown_qp(rng, n):
+    # bounds and an equality that bind, and 3n feasible inequality rows
+    # revealed in batches: qps[k] is qps[k - 1] with rows appended
+    M = rng.normal(size=(n, n))
+    Q = M @ M.T + 0.5 * np.eye(n)
+    c = 5.0 * rng.normal(size=n)
+    x_feas = rng.uniform(-0.5, 0.5, size=n)
+    A = rng.normal(size=(3 * n, n))
+    b = A @ x_feas + rng.uniform(0.0, 0.5, size=3 * n)
+    cuts = np.sort(rng.choice(np.arange(1, 3 * n), size=3, replace=False))
+    common = dict(Q=Q, c=c, A_eq=rng.normal(size=(1, n)), lo=np.full(n, -1.0),
+                  hi=np.where(rng.random(n) < 0.5, 1.0, np.inf))
+    common["b_eq"] = common["A_eq"] @ x_feas
+    return [QuadraticProgram(A_in=A[:k], b_in=b[:k], **common) for k in (*cuts, 3 * n)]
+
+
+def test_warm_start_equals_cold_solve():
+    rng = np.random.default_rng(31)
+    moved = 0
+    for trial in range(40):
+        prev = None
+        for qp in _grown_qp(rng, int(rng.integers(2, 9))):
+            warm = solve_qp(qp, warm=prev)
+            cold = solve_qp(qp)
+            assert warm.status == cold.status == OPTIMAL, trial
+            assert sorted(warm.working_set.active) == sorted(cold.working_set.active), trial
+            for name in ("x", "duals_eq", "duals_in", "duals_lo", "duals_hi"):
+                assert np.allclose(getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12)
+            moved += prev is not None and not np.array_equal(warm.x, prev.x)
+            prev = warm
+    assert moved > 40  # appended rows cut off the previous optimum
+
+
+def test_warm_start_appended_row_infeasible():
+    # x >= 1, then x <= 0 appended
+    first = QuadraticProgram(Q=[[2.0]], c=[0.0], A_in=[[-1.0]], b_in=[-1.0], lo=[-5.0])
+    sol = solve_qp(first)
+    assert sol.status == OPTIMAL and sol.x[0] == pytest.approx(1.0)
+    grown = QuadraticProgram(Q=[[2.0]], c=[0.0], A_in=[[-1.0], [1.0]], b_in=[-1.0, 0.0],
+                             lo=[-5.0])
+    assert solve_qp(grown, warm=sol).status == INFEASIBLE
+    assert solve_qp(grown).status == INFEASIBLE
+
+
+def test_warm_start_from_another_qp_raises():
+    rng = np.random.default_rng(4)
+    small, _, _, big = _grown_qp(rng, 4)
+    sol = solve_qp(small)
+    others = [
+        dataclasses.replace(big, c=big.c + 1e-9),
+        dataclasses.replace(big, Q=2.0 * big.Q),
+        dataclasses.replace(big, lo=None),
+        dataclasses.replace(big, b_eq=big.b_eq + 1.0),
+        dataclasses.replace(big, b_in=np.r_[big.b_in[:1] + 1e-9, big.b_in[1:]]),
+        dataclasses.replace(big, A_in=-big.A_in),
+        dataclasses.replace(small, A_in=small.A_in[:-1], b_in=small.b_in[:-1]),  # rows removed
+    ]
+    for other in others:
+        with pytest.raises(ValueError):
+            solve_qp(other, warm=sol)
+    # a solution that is not optimal has no state to resume from
+    infeasible = QuadraticProgram(Q=[[2.0]], c=[0.0], lo=[1.0], hi=[0.5])
+    with pytest.raises(ValueError):
+        solve_qp(infeasible, warm=solve_qp(infeasible))
+    assert solve_qp(big, warm=sol).status == OPTIMAL
