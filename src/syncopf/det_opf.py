@@ -295,12 +295,12 @@ class _BarrierKkt:
         p, rho, delta = self.split(x)
         beta = net.beta
         grad = np.concatenate([
-            2.0 * net.cost_quad * p + net.cost_lin - net.gen_matrix.T @ nu,
-            self.D * beta * np.arcsin(rho) + beta * (net.incidence.T @ nu),
+            2.0 * net.cost_quad * p + net.cost_lin - nu[net.gen_bus_index],
+            self.D * beta * np.arcsin(rho) + beta * (nu[net.from_index] - nu[net.to_index]),
             np.zeros(net.n_line),
         ])
         r_d = grad - self._slack_grad(z)
-        r_p = net.incidence @ (beta * rho) - net.gen_matrix @ p - (net.wind_mean - net.demand)
+        r_p = _outflow(net, beta * rho, p) - (net.wind_mean - net.demand)
         return r_d, r_p, z * self.slacks(x) - self.centers(t)
 
     def step(self, x, z, r_d, r_p, r_c):
@@ -347,13 +347,13 @@ class _BarrierKkt:
             + np.bincount(net.gen_bus_index, 1.0 / h_p, n)
         )
         drho_free = ((sig2 + 2.0 * cr) * b1 - (sig1 + 2.0 * cr) * b2) / (2.0 * det)
-        rhs = r_p + net.gen_matrix @ (g_p / h_p) + net.incidence @ (beta * drho_free)
+        rhs = r_p + _outflow(net, beta * drho_free, -g_p / h_p)
         try:
             dnu = scipy.linalg.cho_solve(scipy.linalg.cho_factor(S), rhs)
         except scipy.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"barrier Schur complement factorization failed: {exc}")
 
-        half = beta * (net.incidence.T @ dnu) / 2.0
+        half = beta * (dnu[f] - dnu[to]) / 2.0
         b1, b2 = b1 - half, b2 + half
         ds1 = -((sig2 + cq + cr) * b1 - (cr - cq) * b2) / det
         ds2 = -((sig1 + cq + cr) * b2 - (cr - cq) * b1) / det
@@ -362,6 +362,13 @@ class _BarrierKkt:
         dx = np.concatenate([dp, (ds2 - ds1) / 2.0, ddelta])
         dz = -(r_c + z * np.concatenate([ds1, ds2, dp, -dp, ddelta])) / s
         return dx, dnu, dz
+
+
+def _outflow(net: Network, flow: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E x at each bus: the line flows leaving it, net of generation p."""
+    n = net.n_bus
+    return (np.bincount(net.from_index, flow, n) - np.bincount(net.to_index, flow, n)
+            - np.bincount(net.gen_bus_index, p, n))
 
 
 def _max_norm(parts) -> float:

@@ -6,11 +6,11 @@ With the linear flow response the minimizer is closed-form:
 
     E_DC = (mean_gap - rho)^2 / (2 * sum_i sigma_i^2 c_i^2)
 
-with c_i the gap sensitivity to wind bus i (direct Bred row difference
-minus the alpha-response term), and omega_i = sigma_i^2 c_i phi where
-phi is the single equality multiplier. The overload is deemed
-sufficiently rare for budget eps when E >= log(1/eps), boundary
-inclusive.
+with c_i the gap sensitivity to wind bus i (the line's gap under a unit
+injection at wind bus i, minus the alpha-response term), and
+omega_i = sigma_i^2 c_i phi where phi is the single equality multiplier.
+The overload is deemed sufficiently rare for budget eps when
+E >= log(1/eps), boundary inclusive.
 
 The nonlinear variant pins sin(theta_k - theta_l) = rho under the full
 sine balance equations and minimizes the same action; sine compression
@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import DomainError, NoConvergenceError, ZeroVarianceError
 from .network import Dispatch, Network, injection_vector
@@ -111,11 +112,10 @@ def nonlinear_instanton(
     sig = net.wind_sigma[wind]
 
     n = net.n_bus
-    slack = net.bus_index(net.slack_bus)
-    keep = np.array([i for i in range(n) if i != slack])
-    inc = net.incidence  # n x m, +1 at from, -1 at to
+    keep = net.non_slack_index
+    inc = net.incidence  # sparse n x m, +1 at from, -1 at to
     inc_keep = inc[keep]
-    alpha_bus = net.gen_matrix @ dispatch.alpha  # response distribution over buses
+    alpha_bus = np.bincount(net.gen_bus_index, dispatch.alpha, n)  # response over buses
     base_q = injection_vector(net, dispatch)
 
     scatter = np.zeros((n, n_w))
@@ -124,10 +124,7 @@ def nonlinear_instanton(
     q_sens = scatter[keep] - np.outer(alpha_bus[keep], np.ones(n_w))
 
     k_i, l_i = net.from_index[line], net.to_index[line]
-    pin_theta = np.zeros(n)
-    pin_theta[k_i] += 1.0
-    pin_theta[l_i] -= 1.0
-    pin_keep = pin_theta[keep]
+    pin_keep = inc_keep[:, [line]].toarray()[:, 0]  # d gap / d theta[keep]
 
     def split(z):
         theta = np.zeros(n)
@@ -153,7 +150,7 @@ def nonlinear_instanton(
         theta, _ = split(z)
         gamma = inc.T @ theta
         d = net.beta * np.cos(gamma)
-        j_theta = inc_keep @ (d[:, None] * inc_keep.T)
+        j_theta = (inc_keep @ scipy.sparse.diags(d) @ inc_keep.T).toarray()
         return np.hstack([j_theta, -q_sens])
 
     def pin(z):

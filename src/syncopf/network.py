@@ -2,11 +2,11 @@
 
 The network is a connected graph with susceptance-weighted lines. All
 linear analysis runs through the weighted Laplacian ``B = A diag(beta) A^T``
-and its grounded inverse: with the slack row and column deleted the
-reduced matrix is symmetric positive definite, and padding its inverse
-back with a zero slack row and column gives the matrix written ``Bred``
-here. For any balanced injection vector ``q`` (summing to zero),
-``theta = Bred @ q`` solves ``B theta = q`` with ``theta[slack] = 0``.
+grounded at the slack bus: with the slack row and column deleted the
+reduced matrix is symmetric positive definite, and one sparse
+factorization of it (LaplacianOperator) gives, for any balanced injection
+vector ``q``, the angles with ``B theta = q`` and ``theta[slack] = 0``.
+The line gap sensitivities (GapSensitivity) come from one such solve.
 
 Angles, flows, and injections are all in per-unit with uniform voltage
 magnitudes, so the flow on line ``k = (i, j)`` is ``beta_k (theta_i -
@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -139,11 +141,11 @@ class GapSensitivity:
 
         gen[l] @ p + offset[l] + (wind[l] - gen[l] @ alpha) @ w
 
-    Row ``l`` of ``gen`` (m x g) and of ``wind`` (m x n_w) is the
-    difference of the from-bus and to-bus rows of ``Bred`` at the
-    generator and at the wind buses; ``offset`` (m) is the gap caused by
-    the mean wind and the load, and ``sigma`` holds the standard
-    deviations of ``w``.
+    Column ``j`` of ``gen`` (m x g) holds every line's gap under a unit
+    injection at generator ``j``'s bus and column ``i`` of ``wind``
+    (m x n_w) the same for wind bus ``i``, both balanced at the slack;
+    ``offset`` (m) is the gap caused by the mean wind and the load, and
+    ``sigma`` holds the standard deviations of ``w``.
     """
 
     gen: np.ndarray
@@ -211,56 +213,51 @@ class SpanningTree:
 class LaplacianOperator:
     """Weighted Laplacian of a connected network with a grounded slack bus.
 
-    Holds the full matrix ``B``, a Cholesky factorization of the reduced
-    matrix (slack row and column removed), and exposes both the linear
-    solve ``q -> Bred q`` and the dense ``Bred`` matrix needed by the
-    chance-constraint coefficients.
+    ``reduced`` is the Laplacian with the slack row and column removed,
+    assembled sparse from the lines; it is symmetric positive definite
+    on a connected network. One sparse LU factorization of it, under a
+    symmetric minimum-degree ordering, serves every solve.
     """
 
-    def __init__(self, incidence: np.ndarray, beta: np.ndarray, slack_index: int):
-        self._n = incidence.shape[0]
-        self._slack = slack_index
-        self.matrix = (incidence * beta) @ incidence.T
-        keep = [i for i in range(self._n) if i != slack_index]
-        self._keep = np.array(keep, dtype=int)
-        reduced = self.matrix[np.ix_(keep, keep)]
-        try:
-            self._chol = scipy.linalg.cho_factor(reduced)
-        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - guarded upstream
-            raise DisconnectedGraphError(
-                "reduced Laplacian is not positive definite"
-            ) from exc
-        self._dense_reduced_inverse: np.ndarray | None = None
+    def __init__(self, from_index, to_index, beta, non_slack_index):
+        n = non_slack_index.size + 1
+        pos = np.full(n, -1)
+        pos[non_slack_index] = np.arange(n - 1)
+        f, t = pos[from_index], pos[to_index]
+        rows, cols = np.concatenate([f, t, f, t]), np.concatenate([f, t, t, f])
+        vals = np.concatenate([beta, beta, -beta, -beta])
+        grounded = (rows >= 0) & (cols >= 0)  # drop the slack's row and column
+        self.reduced = scipy.sparse.csc_array(
+            (vals[grounded], (rows[grounded], cols[grounded])), shape=(n - 1, n - 1)
+        )
+        self._keep = non_slack_index
+        self._lu = scipy.sparse.linalg.splu(
+            self.reduced, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
+        )
 
-    @property
-    def slack_index(self) -> int:
-        return self._slack
-
-    def apply_reduced_inverse(self, q: np.ndarray) -> np.ndarray:
-        """Return ``Bred @ q`` for a full-length injection vector ``q``.
-
-        The slack component of ``q`` is ignored (Bred has a zero slack
-        row and column); the result has a zero at the slack position.
-        """
-        q = np.asarray(q, dtype=float)
-        if q.shape[-1] != self._n:
-            raise DimensionMismatchError(
-                f"injection vector length {q.shape[-1]} != {self._n}"
-            )
-        out = np.zeros_like(q)
-        sol = scipy.linalg.cho_solve(self._chol, q[..., self._keep].T).T
-        out[..., self._keep] = sol
-        return out
+    def solve(self, q: np.ndarray) -> np.ndarray:
+        """Angles with ``B theta = q`` and a zero at the slack, for a
+        full-length injection vector ``q`` or an n x k stack of them
+        as columns. The slack rows of ``q`` are ignored."""
+        q, n = np.asarray(q, dtype=float), self._keep.size + 1
+        if q.shape[0] != n:
+            raise DimensionMismatchError(f"injection vector length {q.shape[0]} != {n}")
+        theta = np.zeros(q.shape)
+        theta[self._keep] = self._lu.solve(q[self._keep])
+        return theta
 
     def reduced_inverse(self) -> np.ndarray:
-        """Dense ``n x n`` matrix ``Bred`` (cached after first call)."""
-        if self._dense_reduced_inverse is None:
-            eye = np.eye(self._n - 1)
-            inv = scipy.linalg.cho_solve(self._chol, eye)
-            full = np.zeros((self._n, self._n))
-            full[np.ix_(self._keep, self._keep)] = 0.5 * (inv + inv.T)
-            self._dense_reduced_inverse = full
-        return self._dense_reduced_inverse
+        """Dense n x n inverse of ``reduced``, by a dense Cholesky factor, padded
+        with a zero slack row and column. No solve in the package uses it: it is
+        the reference the tests check the sparse solves against, and the
+        benchmark's tracer (perfbench/tracing.py) wraps it by name."""
+        n = self._keep.size + 1
+        inv = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(self.reduced.toarray()), np.eye(n - 1)
+        )
+        full = np.zeros((n, n))
+        full[np.ix_(self._keep, self._keep)] = 0.5 * (inv + inv.T)
+        return full
 
 
 class Network:
@@ -298,8 +295,8 @@ class Network:
                 if b not in self._index:
                     raise ValidationError(f"line references unknown bus {b}")
 
-        n, m, ng = len(self.buses), len(self.lines), len(self.generators)
-        self.n_bus, self.n_line, self.n_gen = n, m, ng
+        n = len(self.buses)
+        self.n_bus, self.n_line, self.n_gen = n, len(self.lines), len(self.generators)
 
         self.demand = np.array([b.demand for b in self.buses])
         self.wind_mean = np.array([b.wind_mean for b in self.buses])
@@ -324,22 +321,9 @@ class Network:
             raise ValidationError(f"slack bus {slack_bus} not in network")
         self.slack_bus = slack_bus
         self.slack_index = self._index[slack_bus]
+        self.non_slack_index = np.flatnonzero(np.arange(n) != self.slack_index)
 
         self._tree_arcs = self._bfs_tree_arcs()
-
-        # incidence: +1 at the tail (from) bus, -1 at the head (to) bus
-        self.incidence = np.zeros((n, m))
-        if m:
-            self.incidence[self.from_index, np.arange(m)] = 1.0
-            self.incidence[self.to_index, np.arange(m)] = -1.0
-
-        self.laplacian_op = LaplacianOperator(self.incidence, self.beta, self.slack_index)
-
-        # map generator outputs to bus injections
-        self.gen_matrix = np.zeros((n, ng))
-        self.gen_matrix[self.gen_bus_index, np.arange(ng)] = 1.0
-        self._gap_sensitivity: GapSensitivity | None = None
-        self._spanning_tree: SpanningTree | None = None
 
     def _bfs_tree_arcs(self) -> list[int]:
         """Arcs of a breadth-first spanning tree from the slack bus.
@@ -389,45 +373,54 @@ class Network:
         """
         return np.minimum(1.0, self.pbar / self.beta)
 
-    @property
-    def bred(self) -> np.ndarray:
-        return self.laplacian_op.reduced_inverse()
+    @cached_property
+    def incidence(self) -> scipy.sparse.csr_array:
+        """Sparse n x m incidence: +1 at each line's from bus, -1 at its to bus."""
+        m, ends = self.n_line, np.concatenate([self.from_index, self.to_index])
+        return scipy.sparse.csr_array(
+            (np.repeat([1.0, -1.0], m), (ends, np.tile(np.arange(m), 2))), shape=(self.n_bus, m)
+        )
 
-    @property
+    @cached_property
+    def laplacian_op(self) -> LaplacianOperator:
+        """The factored grounded Laplacian (built on first use, then cached)."""
+        return LaplacianOperator(self.from_index, self.to_index, self.beta, self.non_slack_index)
+
+    @cached_property
     def gap_sensitivity(self) -> GapSensitivity:
-        """Line angle-gap sensitivities (built on first use, then cached)."""
-        if self._gap_sensitivity is None:
-            bred = self.bred
-            rows = bred[self.from_index] - bred[self.to_index]  # m x n, transient
-            # the columns of gen_matrix are one-hot, so this equals rows @ gen_matrix
-            self._gap_sensitivity = GapSensitivity(
-                gen=rows[:, self.gen_bus_index],
-                wind=rows[:, self.wind_index],
-                offset=rows @ (self.wind_mean - self.demand),
-                sigma=self.wind_sigma[self.wind_index],
-            )
-        return self._gap_sensitivity
+        """Line angle-gap sensitivities (built on first use, then cached):
+        the differences across every line of the angles that one solve gives
+        under a unit injection at each generator bus and each wind bus and
+        under the mean wind net of the load."""
+        g, n_w = self.n_gen, self.wind_index.size
+        rhs = np.zeros((self.n_bus, g + n_w + 1))
+        rhs[self.gen_bus_index, np.arange(g)] = 1.0
+        rhs[self.wind_index, g + np.arange(n_w)] = 1.0
+        rhs[:, -1] = self.wind_mean - self.demand
+        theta = self.laplacian_op.solve(rhs)
+        rows = theta[self.from_index] - theta[self.to_index]  # m x (g + n_w + 1)
+        return GapSensitivity(gen=rows[:, :g], wind=rows[:, g:-1], offset=rows[:, -1],
+                              sigma=self.wind_sigma[self.wind_index])
 
-    @property
+    @cached_property
     def spanning_tree(self) -> SpanningTree:
         """Spanning-tree factorization of conservation (built on first use,
         then cached)."""
-        if self._spanning_tree is None:
-            in_tree = np.zeros(self.n_line, dtype=bool)
-            in_tree[self._tree_arcs] = True
-            tree, chords = np.flatnonzero(in_tree), np.flatnonzero(~in_tree)
-            keep = np.flatnonzero(np.arange(self.n_bus) != self.slack_index)
-            a_red = self.incidence[keep]
-            lu = scipy.linalg.lu_factor(a_red[:, tree])
-            chord_map = np.zeros((self.n_line, chords.size))
-            chord_map[tree] = scipy.linalg.lu_solve(lu, -a_red[:, chords])
-            chord_map[chords, np.arange(chords.size)] = 1.0
-            self._spanning_tree = SpanningTree(tree, chords, keep, lu, chord_map)
-        return self._spanning_tree
+        in_tree = np.zeros(self.n_line, dtype=bool)
+        in_tree[self._tree_arcs] = True
+        tree, chords = np.flatnonzero(in_tree), np.flatnonzero(~in_tree)
+        keep = self.non_slack_index
+        a_red = self.incidence[keep]
+        lu = scipy.linalg.lu_factor(a_red[:, tree].toarray())
+        chord_map = np.zeros((self.n_line, chords.size))
+        chord_map[tree] = scipy.linalg.lu_solve(lu, -a_red[:, chords].toarray())
+        chord_map[chords, np.arange(chords.size)] = 1.0
+        return SpanningTree(tree, chords, keep, lu, chord_map)
 
     def solve_angles(self, q: np.ndarray) -> np.ndarray:
-        """Linear-model angles ``Bred @ q`` with the slack grounded at 0."""
-        return self.laplacian_op.apply_reduced_inverse(q)
+        """Linear-model angles with ``B theta = q`` and the slack grounded
+        at 0 (the slack entry of ``q`` is ignored)."""
+        return self.laplacian_op.solve(q)
 
 
 def injection_vector(net: Network, dispatch: Dispatch, wind: np.ndarray | None = None) -> np.ndarray:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import DomainError, NoConvergenceError, UnbalancedInjectionsError
 from .network import Network
@@ -331,8 +332,8 @@ def energy_function_solve(
     if abs(q.sum()) > 1e-9:
         raise UnbalancedInjectionsError(f"injections sum to {q.sum():.3e}, not 0")
     n = net.n_bus
-    keep = [i for i in range(n) if i != net.slack_index]
-    a_red = net.incidence[keep, :]
+    keep = net.non_slack_index
+    a_red = net.incidence[keep]
     q_red = q[keep]
     beta = net.beta
     theta_red = np.zeros(n - 1)
@@ -353,7 +354,7 @@ def energy_function_solve(
         # keep the Newton matrix positive definite; the line search on
         # the true energy keeps this a descent method regardless.
         # the overall 1/2 scaling cancels between gradient and Hessian.
-        H = a_red @ (np.maximum(weights, 1e-3 * beta)[:, None] * a_red.T)
+        H = (a_red @ scipy.sparse.diags(np.maximum(weights, 1e-3 * beta)) @ a_red.T).toarray()
         try:
             step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), residual)
         except scipy.linalg.LinAlgError:

@@ -250,11 +250,15 @@ def _assert_matches(want, got, path="$"):
         assert type(got) is type(want) and got == want, (path, want, got)
 
 
-@pytest.mark.parametrize("case", ["case9_wind", "alternation"])
-def test_ccopf_report_matches_golden(case, capsys):
-    code, out = run(capsys, ["solve", "ccopf", "--case", f"cases/{case}.json"])
+@pytest.mark.parametrize("case, golden", [
+    ("cases/case9_wind.json", "ccopf_case9_wind.json"),
+    ("cases/alternation.json", "ccopf_alternation.json"),
+    (str(DATA / "mesh100.json"), "ccopf_mesh100.json"),
+], ids=["case9_wind", "alternation", "mesh100"])
+def test_ccopf_report_matches_golden(case, golden, capsys):
+    code, out = run(capsys, ["solve", "ccopf", "--case", case])
     assert code == 0
-    _assert_matches(json.loads((DATA / f"ccopf_{case}.json").read_text()), json.loads(out))
+    _assert_matches(json.loads((DATA / golden).read_text()), json.loads(out))
 
 
 @pytest.mark.parametrize("case, golden", [

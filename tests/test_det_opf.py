@@ -77,7 +77,7 @@ def test_dc_triangle_matches_grid_search():
 
     # oracle: refine a 2-d grid over (p1, p2) with p1 + p2 = 1.5 enforced,
     # exact DC flows checked explicitly
-    bred = net.bred
+    bred = net.laplacian_op.reduced_inverse()
     R = net.beta[:, None] * (bred[net.from_index] - bred[net.to_index])
 
     def feasible_cost(p1):
@@ -251,7 +251,8 @@ def _unreduced_step(kkt, x, z, residual):
     hess = np.diag(np.concatenate(
         [2.0 * net.cost_quad, kkt.D * net.beta * psi_second(rho), np.zeros(m)]
     ))
-    eq = np.hstack([-net.gen_matrix, net.incidence * net.beta, np.zeros((n, m))])
+    gen_matrix = np.eye(n)[:, net.gen_bus_index]
+    eq = np.hstack([-gen_matrix, net.incidence.toarray() * net.beta, np.zeros((n, m))])
     # slack Jacobian for (u - rho - u delta, u + rho - u delta, p - pmin, pmax - p, delta)
     jac = np.zeros((ns, nx))
     lines, gens = np.arange(m), np.arange(ng)

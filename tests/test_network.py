@@ -1,9 +1,13 @@
 """Tests for the grid model and Laplacian operators.
 
 Covers: construction validation, incidence/Laplacian structure, the
-grounded reduced inverse, injection vectors under affine response, and
+grounded reduced inverse, the sparse gap sensitivities against the dense
+one and their memory, injection vectors under affine response, and
 randomized consistency of the linear solve.
 """
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,10 @@ from syncopf import (
     NonPositiveSusceptanceError,
     ValidationError,
     injection_vector,
+    parse_case,
 )
+
+ROOT = Path(__file__).parent.parent
 
 
 def two_bus(beta=1.0, slack=2):
@@ -57,9 +64,15 @@ def random_connected(rng, n):
     return Network(buses, gens, lines)
 
 
+def laplacian(net):
+    """The full weighted Laplacian, from the densified incidence."""
+    A = net.incidence.toarray()
+    return (A * net.beta) @ A.T
+
+
 def test_two_bus_laplacian_entries():
     net = two_bus()
-    assert np.allclose(net.laplacian_op.matrix, [[1.0, -1.0], [-1.0, 1.0]])
+    assert np.allclose(laplacian(net), [[1.0, -1.0], [-1.0, 1.0]])
 
 
 def test_two_bus_reduced_inverse_application():
@@ -72,13 +85,13 @@ def test_laplacian_row_sums_zero():
     rng = np.random.default_rng(7)
     for n in (3, 8, 20):
         net = random_connected(rng, n)
-        assert np.allclose(net.laplacian_op.matrix.sum(axis=1), 0.0, atol=1e-12)
+        assert np.allclose(laplacian(net).sum(axis=1), 0.0, atol=1e-12)
 
 
 def test_triangle_reduced_inverse_matches_hand_computation():
     net = triangle()
     # slack is bus 3, so the reduced system keeps buses 1 and 2
-    bred = net.bred
+    bred = net.laplacian_op.reduced_inverse()
     expect = np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0
     assert np.allclose(bred[:2, :2], expect, atol=1e-12)
     assert np.allclose(bred[2, :], 0.0)
@@ -87,7 +100,7 @@ def test_triangle_reduced_inverse_matches_hand_computation():
 
 def test_incidence_one_plus_one_minus_per_column():
     net = triangle()
-    A = net.incidence
+    A = net.incidence.toarray()
     assert A.shape == (3, 3)
     assert np.all(A.sum(axis=0) == 0)
     assert np.all(np.abs(A).sum(axis=0) == 2)
@@ -101,14 +114,84 @@ def test_balanced_solve_reproduces_injections():
         q -= q.mean()
         theta = net.solve_angles(q)
         assert abs(theta[net.slack_index]) == 0.0
-        assert np.allclose(net.laplacian_op.matrix @ theta, q, atol=1e-10)
+        assert np.allclose(laplacian(net) @ theta, q, atol=1e-10)
 
 
 def test_reduced_inverse_symmetric():
     rng = np.random.default_rng(3)
     net = random_connected(rng, 12)
-    bred = net.bred
+    bred = net.laplacian_op.reduced_inverse()
     assert np.allclose(bred, bred.T, atol=1e-12)
+
+
+def shared_and_slack_generators():
+    # a generator on the slack bus and two generators on bus 2
+    return Network(
+        buses=[Bus(1, demand=0.4), Bus(2, wind_mean=0.1, wind_sigma=0.05),
+               Bus(3, demand=0.3, wind_sigma=0.02), Bus(4, demand=0.2)],
+        generators=[Generator(bus=4, pmin=0.0, pmax=1.0),
+                    Generator(bus=2, pmin=0.0, pmax=1.0),
+                    Generator(bus=2, pmin=0.0, pmax=0.5)],
+        lines=[Line(1, 2, beta=2.0, pbar=1.0), Line(2, 3, beta=1.5, pbar=1.0),
+               Line(3, 4, beta=3.0, pbar=1.0), Line(4, 1, beta=0.5, pbar=1.0),
+               Line(1, 3, beta=1.0, pbar=1.0)],
+        slack_bus=4,
+    )
+
+
+def single_bus():
+    return Network(
+        buses=[Bus(1, demand=0.5, wind_sigma=0.1)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=1.0)],
+        lines=[],
+    )
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_case(ROOT / "cases" / "case9_wind.json")[0],
+    lambda: parse_case(ROOT / "cases" / "alternation.json")[0],
+    lambda: parse_case(ROOT / "tests" / "data" / "mesh100.json")[0],
+    shared_and_slack_generators,
+    single_bus,
+], ids=["case9", "alternation", "mesh100", "shared-and-slack-generators", "single-bus"])
+def test_gap_sensitivity_matches_dense_reduced_inverse(make):
+    net = make()
+    bred = net.laplacian_op.reduced_inverse()
+    rows = bred[net.from_index] - bred[net.to_index]
+    sens = net.gap_sensitivity
+    want = {"gen": rows[:, net.gen_bus_index], "wind": rows[:, net.wind_index],
+            "offset": rows @ (net.wind_mean - net.demand)}
+    for name, expect in want.items():
+        got = getattr(sens, name)
+        assert got.shape == expect.shape, name
+        scale = np.max(np.abs(expect), initial=1.0)
+        assert np.max(np.abs(got - expect), initial=0.0) <= 1e-12 * scale, name
+    assert sens.gen.shape == (net.n_line, net.n_gen)
+
+
+def test_gap_sensitivity_forms_no_dense_bus_matrix():
+    # one 3000 x 3000 float matrix takes 69 MB; the sparse build must stay
+    # well under that, so no n x n (or m x n) matrix can appear
+    rng = np.random.default_rng(5)
+    n = 3000
+    buses = [Bus(i, demand=float(rng.uniform(0.0, 0.5)),
+                 wind_sigma=0.05 if i % 60 == 0 else 0.0) for i in range(1, n + 1)]
+    lines = [Line(i, i % n + 1, beta=float(rng.uniform(5.0, 20.0)), pbar=5.0)
+             for i in range(1, n + 1)]
+    for a, b in rng.choice(n, size=(n // 2, 2)) + 1:
+        if a != b:
+            lines.append(Line(int(a), int(b), beta=float(rng.uniform(5.0, 20.0)), pbar=5.0))
+    gens = [Generator(bus=int(b), pmin=0.0, pmax=20.0)
+            for b in rng.choice(n, size=80, replace=False) + 1]
+    tracemalloc.start()
+    try:
+        net = Network(buses, gens, lines)
+        sens = net.gap_sensitivity
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sens.gen.shape == (net.n_line, 80) and sens.wind.shape == (net.n_line, 50)
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_disconnected_graph_rejected():
@@ -189,7 +272,7 @@ def test_injection_vector_slope_in_wind():
         slope = injection_vector(net, disp, wind=w) - base
         expect = np.zeros(3)
         expect[j] += 1.0
-        expect -= net.gen_matrix @ disp.alpha
+        expect -= np.bincount(net.gen_bus_index, disp.alpha, net.n_bus)
         assert np.allclose(slope, expect, atol=1e-12)
 
 

@@ -96,7 +96,7 @@ def balanced(rng, n, scale=0.3):
 def sine_newton_oracle(net, q, iters=100):
     """Independent damped Newton on the sine flow equations."""
     keep = [i for i in range(net.n_bus) if i != net.slack_index]
-    A = net.incidence[keep, :]
+    A = net.incidence[keep, :].toarray()
     th = np.zeros(len(keep))
     for _ in range(iters):
         diff = A.T @ th
