@@ -29,6 +29,22 @@ the dense QP engine at the size of the truly binding rows; an auxiliary
 epigraph variable per line would pin one always-active row per line and
 scale cubically on large cases. The feasible sets are identical.
 
+Before the loop, the lines that can never bind are screened out
+(_bindable_lines). Every QP optimum of the loop lies in the tightened
+generator box with sum(p) fixed and alpha in the simplex. Over that set
+the largest |mean gap| of a line is a fractional-knapsack LP, solved by
+filling the box greedily in the order of D_l, and its largest S is at
+one end of the interval [min D_l, max D_l] that D_l alpha sweeps, since
+S is convex in D_l alpha. A line whose two constraints hold with a
+relative slack of 1e-6 even at those maxima is strictly feasible at every
+point of the set, and so are its base rows and every tangent of it,
+which underestimate S. Dropping its rows leaves the QP's feasible set,
+and hence each optimum, unchanged, and it can never be the line to cut.
+On a 1000-bus grid 1455 of 1500 lines are screened. The loop evaluates
+only the other lines; the reported violations, binding flags and mean
+flows come from one evaluation of every line at the optimum, and cut
+and iteration-log line ids are network line ids.
+
 The base rows and the initial tangents are assembled once (_CutRows);
 each iteration appends only the new cuts' rows, so its QP is the
 previous one with rows appended, and solve_qp resumes from the previous
@@ -87,6 +103,18 @@ class ConicTable(GapSensitivity):
     eta_t: np.ndarray
     eta_s: np.ndarray
 
+    def subset(self, lines: np.ndarray) -> ConicTable:
+        """The table of the given lines, in their order."""
+        return ConicTable(
+            gen=self.gen[lines],
+            wind=self.wind[lines],
+            offset=self.offset[lines],
+            sigma=self.sigma,
+            bound=self.bound[lines],
+            eta_t=self.eta_t[lines],
+            eta_s=self.eta_s[lines],
+        )
+
 
 def build_conic_constraints(net: Network, chance: ChanceSpec) -> ConicTable:
     """The per-line table of thermal and sync conic constraints."""
@@ -120,17 +148,6 @@ def analytic_violation_prob(mean, spread, bound) -> np.ndarray:
     with np.errstate(all="ignore"):
         p = np.minimum(_qfun((bound - m) / spread) + _qfun((bound + m) / spread), 1.0)
     return np.where(spread <= 1e-300, (m > bound).astype(float), p)
-
-
-def one_sided_violation_probs(mean, spread, bound) -> tuple:
-    """(upper, lower) tail probabilities of the signed gap, elementwise."""
-    with np.errstate(all="ignore"):
-        upper, lower = _qfun((bound - mean) / spread), _qfun((bound + mean) / spread)
-    flat = spread <= 1e-300
-    return (
-        np.where(flat, (mean > bound).astype(float), upper),
-        np.where(flat, (-mean > bound).astype(float), lower),
-    )
 
 
 def generator_violation_prob(p, alpha, pmin, pmax, sigma_tot: float) -> np.ndarray:
@@ -180,6 +197,55 @@ def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration
     ]
 
 
+def _largest_gap(dmat, offset, lo_p, hi_p, total: float) -> np.ndarray:
+    """The largest |D_l p + offset_l| over p in [lo_p, hi_p] with
+    sum(p) = total, for every row D_l of dmat.
+
+    Either extreme of D_l p fills total - sum(lo_p) above lo_p greedily,
+    from the largest D_l entry down or from the smallest up.
+    """
+    order = np.argsort(dmat, axis=1)
+    d_sorted = np.take_along_axis(dmat, order, axis=1)
+    room = np.maximum(hi_p - lo_p, 0.0)[order]
+    spare = total - float(np.sum(lo_p))
+
+    def greedy(d, room):
+        # the most of sum(d * x) with 0 <= x <= room, sum(x) = spare,
+        # when d is in decreasing order
+        before = np.cumsum(room, axis=1) - room
+        return np.sum(d * np.clip(spare - before, 0.0, room), axis=1)
+
+    base = dmat @ lo_p + offset
+    high = base + greedy(d_sorted[:, ::-1], room[:, ::-1])
+    low = base - greedy(-d_sorted, room)
+    return np.maximum(high, -low)
+
+
+def _bindable_lines(table: ConicTable, lo_p, hi_p, total: float) -> np.ndarray:
+    """Sorted ids of the lines whose thermal or sync constraint can come
+    within a relative 1e-6 of its bound at some (p, alpha) with p in
+    [lo_p, hi_p], sum(p) = total and alpha in the simplex.
+
+    The mean gap is bounded in blocks of lines, which keeps the sort's
+    temporary arrays near 2 MB each. S is evaluated at the two ends of
+    [min D_l, max D_l] directly, so with no wind it is the empty norm, 0.
+    """
+    dmat = table.gen
+    gap = np.empty(dmat.shape[0])
+    block = max(1, 2**18 // dmat.shape[1])
+    for i in range(0, gap.size, block):
+        rows = slice(i, i + block)
+        gap[rows] = _largest_gap(dmat[rows], table.offset[rows], lo_p, hi_p, total)
+    spread = np.maximum(
+        np.linalg.norm(table.sigma * (table.wind - dmat.min(axis=1)[:, None]), axis=1),
+        np.linalg.norm(table.sigma * (table.wind - dmat.max(axis=1)[:, None]), axis=1),
+    )
+    keep = (gap + table.eta_t * spread >= (1.0 - 1e-6) * table.bound) | (
+        gap + table.eta_s * spread >= 1.0 - 1e-6
+    )
+    return np.flatnonzero(keep)
+
+
 @dataclass
 class CcSolution:
     """Chance-constrained dispatch with its certification data."""
@@ -200,8 +266,9 @@ class CcSolution:
 
 
 class _CutRows:
-    """The QP's inequality rows over (p, alpha): the base rows, then each
-    added cut's rows in the order the cuts were added.
+    """The QP's inequality rows over (p, alpha): the base rows of the
+    given lines, then each added cut's rows in the order the cuts were
+    added.
 
     Base rows are the zero tangent S >= 0:  +-mean <= min(bound_t, 1).
     Each cut contributes +-mean + eta * tangent(alpha) <= bound for
@@ -215,19 +282,19 @@ class _CutRows:
     leading rows, in the same memory.
     """
 
-    def __init__(self, table: ConicTable):
+    def __init__(self, table: ConicTable, lines: np.ndarray):
         self.table = table
-        dmat, off = table.gen, table.offset
-        m, g = dmat.shape
+        dmat, off = table.gen[lines], table.offset[lines]
+        k, g = dmat.shape
         cap = np.minimum(table.bound, 1.0)
         same = np.abs(table.eta_t - table.eta_s) < 1e-15
         self._eta = np.column_stack([table.eta_t, np.where(same, 0.0, table.eta_s)])
-        self._bound = np.column_stack([np.where(same, cap, table.bound), np.ones(m)])
-        self._a = np.zeros((2 * m, 2 * g))
-        self._a[:m, :g] = dmat
-        self._a[m:, :g] = -dmat
-        self._b = np.concatenate([cap - off, cap + off])
-        self.size = 2 * m
+        self._bound = np.column_stack([np.where(same, cap, table.bound), np.ones(cap.size)])
+        self._a = np.zeros((2 * k, 2 * g))
+        self._a[:k, :g] = dmat
+        self._a[k:, :g] = -dmat
+        self._b = np.concatenate([cap[lines] - off, cap[lines] + off])
+        self.size = 2 * k
 
     def view(self) -> tuple[np.ndarray, np.ndarray]:
         """The rows so far as (A_in, b_in), views of the buffer."""
@@ -268,14 +335,15 @@ def solve_cc_opf(
     """Cutting-plane solve of the chance-constrained OPF.
 
     Each iteration solves a QP over (p, alpha) whose inequality rows are
-    the accumulated tangents, evaluates the true conic violations, and
-    either terminates (all <= tol_cut) or cuts the most violated line
-    (ties broken toward the lowest line id; add_all_violated cuts every
-    violated line at once). Raises InfeasibleError if the tightened
-    generation bounds or the QP are infeasible, IterLimitError if the
-    loop does not settle within max_iter iterations.
+    the accumulated tangents of the lines that can bind, evaluates their
+    true conic violations, and either terminates (all <= tol_cut) or cuts
+    the most violated line (ties broken toward the lowest line id;
+    add_all_violated cuts every violated line at once). Raises
+    InfeasibleError if the tightened generation bounds or the QP are
+    infeasible, IterLimitError if the loop does not settle within
+    max_iter iterations.
     """
-    g, m = net.n_gen, net.n_line
+    g = net.n_gen
     table = build_conic_constraints(net, chance)
     eta_g = -ndtri(chance.eps_gen)
 
@@ -309,8 +377,10 @@ def solve_cc_opf(
     c3_total = float(np.sum(net.cost_const))
 
     Q = np.diag(quad)
-    cuts: list[Cut] = _tangents(table, np.arange(m), np.zeros(m), 0)
-    rows = _CutRows(table)
+    kept = _bindable_lines(table, lo_p, hi_p, total)
+    watched = table.subset(kept)  # entry l of its violations is line kept[l // 2]'s
+    cuts: list[Cut] = _tangents(table, kept, np.zeros(kept.size), 0)
+    rows = _CutRows(table, kept)
     rows.add(cuts)
     log: list[IterationRecord] = []
     trace: list[float] = []
@@ -327,12 +397,12 @@ def solve_cc_opf(
         if sol.status == ITER_LIMIT:
             raise IterLimitError("QP engine hit its iteration cap", iterations=it)
         dispatch = Dispatch(p=sol.x[:g], alpha=sol.x[g:])
-        viol = violations(table, dispatch)
+        viol = violations(watched, dispatch)
         trace.append(sol.objective + c3_total)
         violated_counts.append(int(np.sum(viol > tol_cut)))
 
-        worst = int(np.argmax(viol))
-        if viol[worst] <= tol_cut:
+        if np.max(viol, initial=-np.inf) <= tol_cut:
+            viol = violations(table, dispatch)
             return CcSolution(
                 dispatch=dispatch,
                 objective=trace[-1],
@@ -349,12 +419,13 @@ def solve_cc_opf(
                 mean_flow=net.beta * table.mean(dispatch),
             )
 
-        line, kind = worst // 2, _KINDS[worst % 2]
+        worst = int(np.argmax(viol))
+        line, kind = int(kept[worst // 2]), _KINDS[worst % 2]
         log.append(
             IterationRecord(iteration=it, line=line, kind=kind, violation=float(viol[worst]))
         )
         if add_all_violated:
-            lines = np.unique(np.flatnonzero(viol > tol_cut) // 2)
+            lines = kept[np.unique(np.flatnonzero(viol > tol_cut) // 2)]
         else:
             lines = np.array([line])
         new = _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)

@@ -15,6 +15,7 @@ stdout carries only the report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -72,7 +73,9 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; every call returns it."""
     p = _Parser(prog="syncopf", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"syncopf {__version__}")

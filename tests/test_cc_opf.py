@@ -1,6 +1,7 @@
 """Tests for the chance-constrained OPF: the Gaussian tail multiplier,
-conic constraint algebra, analytic violation probabilities, and the
-cutting-plane solve (termination, certificates, degenerate limits)."""
+conic constraint algebra, analytic violation probabilities, the screen
+of lines that can never bind, and the cutting-plane solve (termination,
+certificates, degenerate limits)."""
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 import syncopf.cc_opf as cc_mod
 from syncopf import (
@@ -29,12 +30,12 @@ from syncopf import (
     solve_scopf,
 )
 from syncopf.cc_opf import (
+    _bindable_lines,
     _CutRows,
     _tangents,
     analytic_violation_prob,
     expected_cost,
     generator_violation_prob,
-    one_sided_violation_probs,
 )
 from syncopf.case_io import parse_case_dict
 from syncopf.network import Dispatch
@@ -172,12 +173,13 @@ def test_generator_violation_prob_gaussian():
     assert generator_violation_prob(1.5, 0.0, 0.0, 1.2, 0.4) == 1.0
 
 
-def _assemble_reference(table, cuts):
+def _assemble_reference(table, lines, cuts):
     # the per-cut loop that the array code replaced, kept as the reference
-    m, g = table.gen.shape
-    cap = np.minimum(table.bound, 1.0)
-    rows_a = [np.hstack([table.gen, np.zeros((m, g))]), np.hstack([-table.gen, np.zeros((m, g))])]
-    rows_b = [cap - table.offset, cap + table.offset]
+    g = table.gen.shape[1]
+    dmat, cap = table.gen[lines], np.minimum(table.bound, 1.0)[lines]
+    zero = np.zeros((lines.size, g))
+    rows_a = [np.hstack([dmat, zero]), np.hstack([-dmat, zero])]
+    rows_b = [cap - table.offset[lines], cap + table.offset[lines]]
     for cut in cuts:
         k = cut.line
         d, off = table.gen[k], table.offset[k]
@@ -205,13 +207,15 @@ def test_assembled_rows_match_per_cut_loop():
     lines = np.arange(net.n_line)
     cuts = _tangents(table, lines, np.zeros(net.n_line), 0)
     cuts += _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)
-    rows = _CutRows(table)
-    for batch in (cuts[:2], cuts[2:5], [], cuts[5:]):  # grows its buffer twice
-        rows.add(batch)
-    a_in, b_in = rows.view()
-    a_ref, b_ref = _assemble_reference(table, cuts)
-    assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
-    assert a_in.shape[0] == 2 * net.n_line + 2 * (2 + 1 + 1) * 2
+    # base rows of every line, of two, and of none, as when all are screened
+    for base in (lines, np.array([0, 2]), np.array([], dtype=int)):
+        rows = _CutRows(table, base)
+        for batch in (cuts[:2], cuts[2:5], [], cuts[5:]):  # grows its buffer
+            rows.add(batch)
+        a_in, b_in = rows.view()
+        a_ref, b_ref = _assemble_reference(table, base, cuts)
+        assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
+        assert a_in.shape[0] == 2 * base.size + 2 * (2 + 1 + 1) * 2
 
 
 # --- cutting-plane solve -----------------------------------------------------
@@ -224,6 +228,9 @@ def test_cc_unbinding_terminates_first_iteration():
     assert sol.iteration_log == []
     assert sol.dispatch.p[0] == pytest.approx(0.8, abs=1e-8)
     assert sol.dispatch.alpha[0] == pytest.approx(1.0, abs=1e-12)
+    # the screen drops the only line, yet the report still covers it
+    assert sol.cuts == []
+    assert sol.violations.shape == (2,) and np.all(sol.violations < 0.0)
 
 
 def test_cc_balance_and_participation_invariants():
@@ -266,9 +273,9 @@ def test_cc_binding_prob_equals_eps_one_sided():
     sol = solve_cc_opf(net, chance)
     assert sol.binding_thermal[0]
     table = sol.table
-    upper, lower = one_sided_violation_probs(
-        table.mean(sol.dispatch)[0], table.spread(sol.dispatch)[0], table.bound[0]
-    )
+    mean, spread = table.mean(sol.dispatch)[0], table.spread(sol.dispatch)[0]
+    upper = ndtr((mean - table.bound[0]) / spread)
+    lower = ndtr(-(table.bound[0] + mean) / spread)
     assert max(upper, lower) == pytest.approx(0.05, abs=1e-7)
 
 
@@ -301,6 +308,7 @@ def test_cc_add_all_variant_same_optimum():
     assert b.iterations <= a.iterations
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cc_zero_wind_matches_scopf():
     net = Network(
         buses=[Bus(1), Bus(2, demand=1.0)],
@@ -393,3 +401,104 @@ def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
     assert len(seen) == res.iterations > 1
     assert [w for w, _ in seen] == [False] + [True] * (res.iterations - 1)
     assert all(a < b for (_, a), (_, b) in zip(seen, seen[1:]))
+
+
+# --- the screen of lines that can never bind ---------------------------------
+
+def _generation_box(net, chance):
+    # the set every QP optimum of the loop lies in: the tightened box,
+    # with sum(p) = total (alpha lies in the simplex)
+    margin = -ndtri(chance.eps_gen) * math.sqrt(float(np.sum(net.wind_sigma**2)))
+    lo_p = np.maximum(net.pmin + margin, 0.0)
+    return lo_p, net.pmax - margin, float(np.sum(net.demand - net.wind_mean))
+
+
+def _knapsack_vertex(lo_p, hi_p, total, order):
+    # fill total - sum(lo_p) above lo_p, generator by generator in order
+    p, left = lo_p.copy(), total - lo_p.sum()
+    for j in order:
+        take = min(hi_p[j] - lo_p[j], max(left, 0.0))
+        p[j] += take
+        left -= take
+    return p
+
+
+def _feasible_draws(table, lo_p, hi_p, total, rng, n_mixed=10_000):
+    """(P, A): rows are feasible (p, alpha) pairs.
+
+    Every knapsack extreme point of every line (the greedy fills in the
+    order of D_l, from either end) and 40 random-order fills, each paired
+    with every simplex vertex; then n_mixed random mixtures of those
+    points paired with random interior alphas."""
+    g = lo_p.size
+    orders = np.argsort(table.gen, axis=1)
+    orders = list(orders) + [o[::-1] for o in orders] + [rng.permutation(g) for _ in range(40)]
+    verts = np.array([_knapsack_vertex(lo_p, hi_p, total, o) for o in orders])
+    mixed = rng.dirichlet(np.full(len(verts), 0.2), size=n_mixed) @ verts
+    P = np.vstack([np.repeat(verts, g, axis=0), mixed])
+    A = np.vstack([np.tile(np.eye(g), (len(verts), 1)), rng.dirichlet(np.full(g, 0.5), size=n_mixed)])
+    return P, A
+
+
+def _conic_slacks(table, P, A):
+    # (thermal, sync) slacks, draws x lines, straight from the definitions
+    mean = np.abs(P @ table.gen.T + table.offset)
+    d = A @ table.gen.T
+    spread = np.column_stack([
+        np.linalg.norm(table.sigma * (table.wind[l] - d[:, l : l + 1]), axis=1)
+        for l in range(table.offset.size)
+    ])
+    return mean + table.eta_t * spread - table.bound, mean + table.eta_s * spread - 1.0
+
+
+@pytest.mark.parametrize("case, golden, n_kept", [
+    ("cases/case9_wind.json", "ccopf_case9_wind.json", 1),
+    ("cases/alternation.json", "ccopf_alternation.json", 3),
+    ("tests/data/mesh100.json", "ccopf_mesh100.json", 6),
+], ids=["case9", "alternation", "mesh100"])
+def test_screened_lines_never_bind(case, golden, n_kept):
+    net, chance = parse_case(case)
+    table = build_conic_constraints(net, chance)
+    lo_p, hi_p, total = _generation_box(net, chance)
+    kept = _bindable_lines(table, lo_p, hi_p, total)
+    assert kept.size == n_kept and np.all(np.diff(kept) > 0)
+    screened = np.setdiff1d(np.arange(net.n_line), kept)
+
+    P, A = _feasible_draws(table, lo_p, hi_p, total, np.random.default_rng(11))
+    assert P.shape[0] >= 10_000
+    assert np.all(P >= lo_p - 1e-12) and np.all(P <= hi_p + 1e-12)
+    assert np.allclose(P.sum(axis=1), total, atol=1e-9, rtol=0)
+    assert np.all(A >= 0.0) and np.allclose(A.sum(axis=1), 1.0, atol=1e-12, rtol=0)
+    thermal, sync = _conic_slacks(table, P, A)
+    assert thermal[:, screened].max(initial=-np.inf) <= 0.0
+    assert sync[:, screened].max(initial=-np.inf) <= 0.0
+
+    doc = json.loads((Path(__file__).parent / "data" / golden).read_text())
+    binding = [ln["line"] for ln in doc["lines"] if ln["binding_thermal"] or ln["binding_sync"]]
+    assert set(binding) <= set(kept.tolist())
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@pytest.mark.parametrize("load", [
+    lambda: parse_case("cases/case9_wind.json"),
+    lambda: parse_case("cases/alternation.json"),
+    _mesh100_tight_caps,
+], ids=["case9", "alternation", "mesh100"])
+def test_screen_keeps_the_solve_and_its_reports(load, add_all, monkeypatch):
+    # against the loop over every line: the same iterates, log and per-line
+    # reports; only the screened lines' initial tangents are gone
+    net, chance = load()
+    sol = solve_cc_opf(net, chance, add_all_violated=add_all)
+    monkeypatch.setattr(cc_mod, "_bindable_lines", lambda table, *box: np.arange(net.n_line))
+    ref = solve_cc_opf(net, chance, add_all_violated=add_all)
+    assert sol.iterations == ref.iterations and sol.objective_trace == ref.objective_trace
+    assert sol.iteration_log == ref.iteration_log
+    assert sol.violated_counts == ref.violated_counts
+    for name in ("violations", "binding_thermal", "binding_sync", "mean_flow"):
+        assert np.array_equal(getattr(sol, name), getattr(ref, name)), name
+    assert sol.violations.size == 2 * net.n_line and sol.mean_flow.size == net.n_line
+    assert np.array_equal(sol.dispatch.p, ref.dispatch.p)
+    assert np.array_equal(sol.dispatch.alpha, ref.dispatch.alpha)
+    first = {c.line for c in sol.cuts if c.iteration == 0}
+    assert sol.cuts == [c for c in ref.cuts if c.iteration > 0 or c.line in first]
+

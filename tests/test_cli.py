@@ -11,7 +11,7 @@ import pytest
 
 from syncopf import parse_case, read_report, solve_dc_opf, solve_pf
 from syncopf.case_io import read_flow_table, write_report
-from syncopf.cli import main
+from syncopf.cli import build_parser, main
 from syncopf.network import Dispatch, injection_vector
 
 DATA = Path(__file__).parent / "data"
@@ -390,6 +390,32 @@ def test_logging_env_keeps_stdout_clean(tmp_path, capsys, monkeypatch):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out.startswith("syncopf ")
+
+
+def test_shared_parser_answers_like_fresh_ones(capsys):
+    # main builds its parser once per process; a run of different commands
+    # through it must read exactly as with a new parser for each
+    argvs = [
+        ["solve", "ccopf", "--case", "cases/case9_wind.json"],
+        ["solve", "--case", "cases/case9_wind.json"],  # usage error: no variant
+        ["--version"],
+        ["validate", "--case", "cases/case9_wind.json",
+         "--dispatch", str(DATA / "ccopf_case9_wind.json"), "--samples", "1000"],
+    ]
+
+    def answers(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    fresh = answers(fresh=True)
+    assert [code for code, _, _ in fresh] == [0, 1, 0, 0]
+    assert answers(fresh=False) == fresh
+    assert build_parser() is build_parser()
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
