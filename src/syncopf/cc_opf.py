@@ -3,26 +3,26 @@
 Wind deviations at the sigma-positive buses are independent Gaussians;
 generators absorb the aggregate imbalance through participation factors
 alpha (p_i(w) = p_i - alpha_i * sum(w), with sum(alpha) = 1). Angle
-differences are then Gaussian. Both moments come from one per-line
-table, the network's GapSensitivity: with D_l and W_l the sensitivities
-of line l's angle gap to injections at the generator buses and at the
-wind buses, the line's angle gap is
+differences are then Gaussian. With D_l and W_l the sensitivities of
+line l's angle gap to injections at the generator buses and at the wind
+buses, the gap is D_l p + offset_l + (W_l - D_l alpha) w. Its standard
+deviation || sigma * (W_l - D_l alpha) || depends on alpha only through
+d = D_l alpha: in line coordinates (network.GapMoments) it is
 
-    D_l p + offset_l + (W_l - D_l alpha) w
+    S_l(d) = sqrt(c (d - d_bar_l)^2 + r_l^2)
 
-so its standard deviation is
-
-    S_l(alpha) = || sigma * (W_l - D_l alpha) ||
-
-Each line carries two conic constraints,
+with c = sum(sigma^2), d_bar_l = sum(sigma^2 W_l) / c and r_l =
+|| sigma * (W_l - d_bar_l) ||, the per-line conic form of Bienstock,
+Chertkov & Harnett (SIAM Review 56(3), 2014). Each line carries two
+conic constraints,
 
     |mean gap| + eta(eps_line) * S  <=  pbar/beta   (thermal)
     |mean gap| + eta(eps_sync) * S  <=  1           (synchronization)
 
 with eta the Gaussian tail multiplier. build_conic_constraints returns
 both for every line as one ConicTable; violations, probabilities and
-tangents are array expressions over it. S is convex in alpha, so the
-conic terms are handled by cutting planes: tangents of S are substituted
+tangents are array expressions over it. S is convex in d, so the conic
+terms are handled by cutting planes: tangents of S are substituted
 into the linear rows and the QP is re-solved until no constraint is
 violated beyond tol_cut. Tangent substitution keeps the active set of
 the dense QP engine at the size of the truly binding rows; an auxiliary
@@ -34,8 +34,8 @@ Before the loop, the lines that can never bind are screened out
 generator box with sum(p) fixed and alpha in the simplex. Over that set
 the largest |mean gap| of a line is a fractional-knapsack LP, solved by
 filling the box greedily in the order of D_l, and its largest S is at
-one end of the interval [min D_l, max D_l] that D_l alpha sweeps, since
-S is convex in D_l alpha. A line whose two constraints hold with a
+one end of the interval [min D_l, max D_l] that d = D_l alpha sweeps,
+since S is convex in d. A line whose two constraints hold with a
 relative slack of 1e-6 even at those maxima is strictly feasible at every
 point of the set, and so are its base rows and every tangent of it,
 which underestimate S. Dropping its rows leaves the QP's feasible set,
@@ -64,13 +64,16 @@ from scipy.special import erfc, ndtri
 
 from .case_io import ChanceSpec, IterationRecord
 from .errors import DomainError, InfeasibleError, IterLimitError, ValidationError
-from .network import Dispatch, GapSensitivity, Network
+from .network import Dispatch, GapMoments, Network
 from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
 
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
 _KINDS = ("thermal", "sync")  # order of each line's pair of rows in violations()
+# one tangent of S_line at d_hat: S_line(d) >= s_hat + grad * (d - d_hat)
+CUT_DTYPE = np.dtype([("line", np.intp), ("iteration", np.intp), ("d_hat", float),
+                      ("s_hat", float), ("grad", float)])
 
 
 def eta(eps: float) -> float:
@@ -91,29 +94,23 @@ def _qfun(x):
 
 
 @dataclass(frozen=True)
-class ConicTable(GapSensitivity):
-    """Every line's two chance constraints |mean gap| + eta * S <= bound.
+class ConicTable(GapMoments):
+    """Every line's two chance constraints |mean gap| + eta * S <= bound:
+    the gap moments in line coordinates, the thermal bound pbar/beta (the
+    sync bound is 1) and the thermal and sync multipliers eta_t, eta_s."""
 
-    Extends the network's gap sensitivities with the thermal bound
-    pbar/beta (the sync bound is 1) and the per-line thermal and sync
-    multipliers eta_t and eta_s.
-    """
-
+    gen: np.ndarray
+    offset: np.ndarray
+    c: float
+    d_bar: np.ndarray
+    r: np.ndarray
     bound: np.ndarray
     eta_t: np.ndarray
     eta_s: np.ndarray
 
     def subset(self, lines: np.ndarray) -> ConicTable:
         """The table of the given lines, in their order."""
-        return ConicTable(
-            gen=self.gen[lines],
-            wind=self.wind[lines],
-            offset=self.offset[lines],
-            sigma=self.sigma,
-            bound=self.bound[lines],
-            eta_t=self.eta_t[lines],
-            eta_s=self.eta_s[lines],
-        )
+        return ConicTable(**{k: v if k == "c" else v[lines] for k, v in vars(self).items()})
 
 
 def build_conic_constraints(net: Network, chance: ChanceSpec) -> ConicTable:
@@ -121,25 +118,17 @@ def build_conic_constraints(net: Network, chance: ChanceSpec) -> ConicTable:
     if len(chance.eps_line) != net.n_line or len(chance.eps_gen) != net.n_gen:
         raise ValidationError("chance spec does not match network dimensions")
     sens = net.gap_sensitivity
-    return ConicTable(
-        gen=sens.gen,
-        wind=sens.wind,
-        offset=sens.offset,
-        sigma=sens.sigma,
-        bound=net.pbar / net.beta,
-        eta_t=-ndtri(chance.eps_line),
-        eta_s=-ndtri(chance.eps_sync),
-    )
+    return ConicTable(gen=sens.gen, offset=sens.offset, c=sens.c, d_bar=sens.d_bar, r=sens.r,
+                      bound=net.pbar / net.beta, eta_t=-ndtri(chance.eps_line),
+                      eta_s=-ndtri(chance.eps_sync))
 
 
 def violations(table: ConicTable, dispatch: Dispatch) -> np.ndarray:
     """Signed slacks, positive where violated, as line-major (thermal,
     sync) pairs: entry 2l is line l's thermal row, 2l + 1 its sync row."""
-    gap = np.abs(table.mean(dispatch))
-    s = table.spread(dispatch)
-    return np.column_stack(
-        [gap + table.eta_t * s - table.bound, gap + table.eta_s * s - 1.0]
-    ).ravel()
+    gap, s = np.abs(table.mean(dispatch)), table.spread(dispatch)
+    thermal, sync = gap + table.eta_t * s - table.bound, gap + table.eta_s * s - 1.0
+    return np.column_stack([thermal, sync]).ravel()
 
 
 def analytic_violation_prob(mean, spread, bound) -> np.ndarray:
@@ -170,31 +159,16 @@ def expected_cost(net: Network, dispatch: Dispatch, sigma_tot_sq: float) -> floa
     )
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Tangent underestimator of S_l at response level d_hat."""
-
-    line: int
-    iteration: int
-    d_hat: float
-    s_hat: float
-    grad: float
-
-    def value(self, d: float) -> float:
-        return self.s_hat + self.grad * (d - self.d_hat)
-
-
-def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration: int) -> list:
-    """Cuts of S at d_hat for the given lines; lines whose S vanishes there
-    have no tangent and get none."""
-    r = table.sigma * (table.wind[lines] - d_hat[:, None])
-    s_hat = np.linalg.norm(r, axis=1)
-    grad = -np.sum(table.sigma * r, axis=1)
-    return [
-        Cut(line=int(k), iteration=iteration, d_hat=float(d), s_hat=float(s), grad=float(gs / s))
-        for k, d, s, gs in zip(lines, d_hat, s_hat, grad)
-        if s > 1e-14
-    ]
+def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration: int) -> np.ndarray:
+    """Cuts of S at d_hat for the given lines, as a CUT_DTYPE array, with
+    slopes c (d_hat - d_bar) / S; lines whose S vanishes there get none."""
+    s_hat = table.spread_at(d_hat, lines)
+    at = s_hat > 1e-14
+    cuts = np.empty(np.count_nonzero(at), CUT_DTYPE)
+    cuts["line"], cuts["iteration"], cuts["d_hat"], cuts["s_hat"] = (
+        lines[at], iteration, d_hat[at], s_hat[at])
+    cuts["grad"] = table.c * (cuts["d_hat"] - table.d_bar[cuts["line"]]) / cuts["s_hat"]
+    return cuts
 
 
 def _largest_gap(dmat, offset, lo_p, hi_p, total: float) -> np.ndarray:
@@ -227,8 +201,8 @@ def _bindable_lines(table: ConicTable, lo_p, hi_p, total: float) -> np.ndarray:
     [lo_p, hi_p], sum(p) = total and alpha in the simplex.
 
     The mean gap is bounded in blocks of lines, which keeps the sort's
-    temporary arrays near 2 MB each. S is evaluated at the two ends of
-    [min D_l, max D_l] directly, so with no wind it is the empty norm, 0.
+    temporary arrays near 2 MB each. With no wind, c = r = 0 and S is 0
+    at both ends of [min D_l, max D_l].
     """
     dmat = table.gen
     gap = np.empty(dmat.shape[0])
@@ -236,10 +210,7 @@ def _bindable_lines(table: ConicTable, lo_p, hi_p, total: float) -> np.ndarray:
     for i in range(0, gap.size, block):
         rows = slice(i, i + block)
         gap[rows] = _largest_gap(dmat[rows], table.offset[rows], lo_p, hi_p, total)
-    spread = np.maximum(
-        np.linalg.norm(table.sigma * (table.wind - dmat.min(axis=1)[:, None]), axis=1),
-        np.linalg.norm(table.sigma * (table.wind - dmat.max(axis=1)[:, None]), axis=1),
-    )
+    spread = np.maximum(table.spread_at(dmat.min(axis=1)), table.spread_at(dmat.max(axis=1)))
     keep = (gap + table.eta_t * spread >= (1.0 - 1e-6) * table.bound) | (
         gap + table.eta_s * spread >= 1.0 - 1e-6
     )
@@ -258,7 +229,7 @@ class CcSolution:
     objective_trace: list = field(default_factory=list)
     violated_counts: list = field(default_factory=list)
     table: ConicTable | None = None
-    cuts: list = field(default_factory=list)
+    cuts: np.ndarray = field(default_factory=lambda: np.empty(0, CUT_DTYPE))
     violations: np.ndarray | None = None  # line-major (thermal, sync) pairs
     binding_thermal: np.ndarray | None = None
     binding_sync: np.ndarray | None = None
@@ -300,13 +271,12 @@ class _CutRows:
         """The rows so far as (A_in, b_in), views of the buffer."""
         return self._a[: self.size], self._b[: self.size]
 
-    def add(self, cuts: list) -> None:
-        """Append the rows of cuts."""
+    def add(self, cuts: np.ndarray) -> None:
+        """Append the rows of cuts, a CUT_DTYPE array."""
         dmat, off = self.table.gen, self.table.offset
         g = dmat.shape[1]
-        lines = np.array([c.line for c in cuts], dtype=int)
-        grad = np.array([c.grad for c in cuts])
-        intercept = np.array([c.s_hat - c.grad * c.d_hat for c in cuts])
+        lines, grad = cuts["line"], cuts["grad"]
+        intercept = cuts["s_hat"] - grad * cuts["d_hat"]
         cut_idx, kind = np.nonzero(self._eta[lines] > 0.0)  # cut-major, thermal first
         k = lines[cut_idx]
         eta_k = self._eta[k, kind]
@@ -379,9 +349,9 @@ def solve_cc_opf(
     Q = np.diag(quad)
     kept = _bindable_lines(table, lo_p, hi_p, total)
     watched = table.subset(kept)  # entry l of its violations is line kept[l // 2]'s
-    cuts: list[Cut] = _tangents(table, kept, np.zeros(kept.size), 0)
+    cuts = [_tangents(table, kept, np.zeros(kept.size), 0)]
     rows = _CutRows(table, kept)
-    rows.add(cuts)
+    rows.add(cuts[0])
     log: list[IterationRecord] = []
     trace: list[float] = []
     violated_counts: list[int] = []
@@ -412,7 +382,7 @@ def solve_cc_opf(
                 objective_trace=trace,
                 violated_counts=violated_counts,
                 table=table,
-                cuts=cuts,
+                cuts=np.concatenate(cuts),
                 violations=viol,
                 binding_thermal=viol[0::2] >= -1e-6,
                 binding_sync=viol[1::2] >= -1e-6,
@@ -429,7 +399,7 @@ def solve_cc_opf(
         else:
             lines = np.array([line])
         new = _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
-        cuts += new
+        cuts.append(new)
         rows.add(new)
         logger.info(
             "cut iteration %d: line %d %s violation %.3e (%d violated)",

@@ -66,6 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return int(text)
+
+
 def _setup_logging():
     level_name = os.environ.get("SYNC_CCOPF_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
@@ -116,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("validate", help="Monte Carlo check of a dispatch report")
     add_common(sp)
     sp.add_argument("--dispatch", required=True, help="solution report to validate")
-    sp.add_argument("--samples", type=int, default=10_000)
+    sp.add_argument("--samples", type=_positive_int, default=10_000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--nonlinear-mc", action="store_true",
                     help="re-solve the sine power flow per sample")

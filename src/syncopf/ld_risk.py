@@ -63,7 +63,7 @@ def e_dc_closed_form(
     mean_gap = float(sens.mean(dispatch)[line])
     coeff = sens.response(dispatch)[line]
     sig = sens.sigma
-    var_form = float(np.sum(sig**2 * coeff**2))
+    var_form = float(sens.spread(dispatch)[line]) ** 2
     if var_form <= 1e-300:
         raise ZeroVarianceError(
             f"line {line}: angle gap has no wind variance, instanton undefined"

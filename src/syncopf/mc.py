@@ -13,7 +13,7 @@ Cauchy-Schwarz, spread_l being the line's standard deviation. So a chunk
 forms gaps only for the lines whose bound spread * max|z| reaches the
 margin min(pbar / beta, 1) - |mean|. The bound carries one slack,
 1e-9 * (|mean| + spread) * (1 + max|z|), far above the n_w * eps
-rounding of the dot product and of the norms, so a skipped line would
+rounding of the dot product and of the spreads, so a skipped line would
 have tallied no event in computed arithmetic either. Near an
 optimum few lines come near a limit (3 of 1500 on a 1000-bus grid), and
 a chunk then costs about its draws instead of lines * wind buses per
@@ -153,6 +153,8 @@ def run_mc(
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     chunk = max(1, min(n_samples, _CHUNK_TARGET // max(m, 1)))
+    # every chunk draws into these: uniforms, then normals z in place; w = z * sigma
+    z_buf, w_buf = np.empty((chunk, n_w)), np.empty((chunk, n_w))
 
     th_pos = np.zeros(m, dtype=np.int64)
     th_neg = np.zeros(m, dtype=np.int64)
@@ -168,14 +170,11 @@ def run_mc(
     done = 0
     while done < n_samples:
         size = min(chunk, n_samples - done)
-        if n_w:
-            u = rng.random((size, n_w))
-            z = ndtri(np.clip(u, 1e-16, 1.0 - 1e-16))
-            w = z * sig
-            z_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", z, z))))
-        else:
-            w = np.zeros((size, 0))
-            z_max = 0.0
+        z, w = z_buf[:size], w_buf[:size]  # with no wind, empty: z_max is 0
+        rng.random(out=z)
+        ndtri(np.clip(z, 1e-16, 1.0 - 1e-16, out=z), out=z)
+        np.multiply(z, sig, out=w)
+        z_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", z, z))))
         live = np.flatnonzero(
             spread * z_max + 1e-9 * (abs_mean + spread) * (1.0 + z_max) >= margin)
         gaps = w @ coeff[live].T

@@ -16,7 +16,7 @@ the lossless AC model.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -132,8 +132,29 @@ class Dispatch:
             raise ValidationError("dispatch: p and alpha must have the same shape")
 
 
+class GapMoments:
+    """Mean and standard deviation of every line's angle gap in line
+    coordinates. ``S_l = ||sigma * (W_l - D_l alpha)||`` depends on alpha
+    only through ``d = D_l alpha``: with ``c = sum(sigma^2)``, ``d_bar_l =
+    sum(sigma^2 W_l) / c`` and ``r_l = ||sigma * (W_l - d_bar_l)||``,
+    ``S_l(d) = sqrt(c (d - d_bar_l)^2 + r_l^2)``. Subclasses provide
+    ``gen`` (rows ``D_l``), ``offset``, ``c``, ``d_bar`` and ``r``."""
+
+    def mean(self, dispatch: Dispatch) -> np.ndarray:
+        """Mean angle gap of every line."""
+        return self.gen @ dispatch.p + self.offset
+
+    def spread(self, dispatch: Dispatch) -> np.ndarray:
+        """Standard deviation S of every line's angle gap."""
+        return self.spread_at(self.gen @ dispatch.alpha)
+
+    def spread_at(self, d, lines=...) -> np.ndarray:
+        """S of the given lines (all by default) at response levels d."""
+        return np.sqrt(self.c * (d - self.d_bar[lines]) ** 2 + self.r[lines] ** 2)
+
+
 @dataclass(frozen=True)
-class GapSensitivity:
+class GapSensitivity(GapMoments):
     """Linear map from a dispatch and the wind to every line's angle gap.
 
     Under dispatch ``(p, alpha)`` and zero-mean wind ``w`` at the wind
@@ -145,26 +166,30 @@ class GapSensitivity:
     injection at generator ``j``'s bus and column ``i`` of ``wind``
     (m x n_w) the same for wind bus ``i``, both balanced at the slack;
     ``offset`` (m) is the gap caused by the mean wind and the load, and
-    ``sigma`` holds the standard deviations of ``w``.
+    ``sigma`` holds the standard deviations of ``w``; ``c``, ``d_bar``
+    and ``r`` (see GapMoments) are derived from them once.
     """
 
     gen: np.ndarray
     wind: np.ndarray
     offset: np.ndarray
     sigma: np.ndarray
+    c: float = field(init=False)
+    d_bar: np.ndarray = field(init=False)
+    r: np.ndarray = field(init=False)
 
-    def mean(self, dispatch: Dispatch) -> np.ndarray:
-        """Mean angle gap of every line."""
-        return self.gen @ dispatch.p + self.offset
+    def __post_init__(self):
+        # d_bar = 0 with no wind variance; r as sum(sigma^2 W^2) - c d_bar^2 would cancel
+        c = float(np.sum(self.sigma**2))
+        d_bar = np.divide(self.wind @ self.sigma**2, c, out=np.zeros(self.offset.size), where=c > 0)
+        r = np.linalg.norm(self.sigma * (self.wind - d_bar[:, None]), axis=1)
+        for name, value in (("c", c), ("d_bar", d_bar), ("r", r)):
+            object.__setattr__(self, name, value)
 
     def response(self, dispatch: Dispatch) -> np.ndarray:
         """m x n_w sensitivity of every gap to the wind, net of the
         generators' affine response."""
         return self.wind - (self.gen @ dispatch.alpha)[:, None]
-
-    def spread(self, dispatch: Dispatch) -> np.ndarray:
-        """Standard deviation S of every line's angle gap."""
-        return np.linalg.norm(self.sigma * self.response(dispatch), axis=1)
 
 
 @dataclass(frozen=True)

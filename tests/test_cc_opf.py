@@ -134,9 +134,90 @@ def test_conic_lhs_matches_mc_std():
     w = rng.normal(size=(200_000, 2)) * net.wind_sigma[net.wind_index]
     mean, spread = table.mean(disp), table.spread(disp)
     for k in range(net.n_line):
-        gaps = mean[k] + w @ (table.wind[k] - table.gen[k] @ disp.alpha)
+        gaps = mean[k] + w @ (net.gap_sensitivity.wind[k] - table.gen[k] @ disp.alpha)
         s_hat = gaps.std()
         assert s_hat == pytest.approx(spread[k], rel=0.02)
+
+
+def _no_wind():
+    net = Network(
+        buses=[Bus(1), Bus(2, demand=0.6), Bus(3, demand=0.4)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=2.0, c1=1.0),
+                    Generator(bus=3, pmin=0.0, pmax=2.0, c1=2.0)],
+        lines=[Line(1, 2, beta=2.0, pbar=0.7), Line(2, 3, beta=1.0, pbar=0.7),
+               Line(1, 3, beta=1.5, pbar=0.7)],
+    )
+    return net, ChanceSpec.uniform(net)
+
+
+def _twin_wind():
+    # all flow from wind buses 3 and 4 returns to the slack over line 0,
+    # so both have the same sensitivity there and line 0's r is 0
+    net = Network(
+        buses=[Bus(1), Bus(2, demand=1.0), Bus(3, wind_mean=0.1, wind_sigma=0.1),
+               Bus(4, wind_mean=0.1, wind_sigma=0.3)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=2.0, c1=1.0),
+                    Generator(bus=3, pmin=0.0, pmax=2.0, c1=2.0)],
+        lines=[Line(1, 2, beta=2.0, pbar=0.9), Line(2, 3, beta=1.0, pbar=0.9),
+               Line(2, 4, beta=1.5, pbar=0.9), Line(3, 4, beta=3.0, pbar=0.9)],
+        slack_bus=1,
+    )
+    return net, ChanceSpec.uniform(net)
+
+
+# each grid with the lines whose S vanishes at its centre d_bar (on case9
+# the generator leads, which carry no wind flow)
+_GRIDS = {
+    "case9": (lambda: parse_case("cases/case9_wind.json"), [0, 3, 6]),
+    "alternation": (lambda: parse_case("cases/alternation.json"), []),
+    "mesh100": (lambda: parse_case("tests/data/mesh100.json"), []),
+    "one-wind-bus": (lambda: (two_bus_two_gen(), ChanceSpec.uniform(two_bus_two_gen())), [0]),
+    "twin-wind": (_twin_wind, [0]),
+    "no-wind": (_no_wind, [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("load, vanishing", _GRIDS.values(), ids=_GRIDS.keys())
+def test_closed_form_spread_matches_definition(load, vanishing):
+    # S in line coordinates, and its tangents' slopes, against the norm
+    # ||sigma * (W_l - d)|| that defines S, at random response levels d
+    net, chance = load()
+    sens, table = net.gap_sensitivity, build_conic_constraints(net, chance)
+    lines = np.arange(net.n_line)
+    rng = np.random.default_rng(8)
+
+    def definition(d):
+        return np.linalg.norm(sens.sigma * (sens.wind - d[:, None]), axis=1)
+
+    scale = np.sqrt(table.c) * (1.0 + np.abs(sens.wind).max(initial=0.0, axis=1))
+    for alpha in rng.dirichlet(np.ones(net.n_gen), size=10):
+        disp = Dispatch(p=np.zeros(net.n_gen), alpha=alpha)
+        d = sens.gen @ alpha
+        want = definition(d)
+        assert np.all(np.abs(sens.spread(disp) - want) <= 1e-14 * scale)
+        assert np.array_equal(table.spread(disp), sens.spread(disp))
+
+        cuts = _tangents(table, lines, d, 1)
+        assert np.array_equal(cuts["line"], np.flatnonzero(table.spread_at(d) > 1e-14))
+        k = cuts["line"]
+        assert np.all(np.abs(cuts["s_hat"] - want[k]) <= 1e-14 * scale[k])
+        slope = sens.sigma @ (sens.sigma * (d[k, None] - sens.wind[k])).T / want[k]
+        assert np.allclose(cuts["grad"], slope, rtol=1e-12, atol=1e-14 * table.c)
+        # steps on the scale S / sqrt(c) over which the slope turns
+        h = np.zeros(net.n_line)
+        h[k] = 1e-5 * want[k] / np.sqrt(table.c)
+        central = (definition(d + h) - definition(d - h))[k] / (2.0 * h[k])
+        assert np.allclose(cuts["grad"], central, rtol=1e-7, atol=1e-9 * np.sqrt(table.c))
+
+    # at its centre a line's S is smallest, r_l; where that vanishes the
+    # line gets no tangent, and with no wind it never gets one
+    want = definition(table.d_bar)
+    assert np.all(np.abs(table.spread_at(table.d_bar) - want) <= 1e-14 * scale)
+    assert np.all(want[vanishing] <= 1e-14)
+    others = np.setdiff1d(lines, vanishing)
+    assert np.array_equal(_tangents(table, lines, table.d_bar, 0)["line"], others)
+    far = _tangents(table, lines, table.d_bar + 1.0, 0)["line"]
+    assert np.array_equal(far, lines if sens.sigma.size else [])
 
 
 def test_violation_prob_zero_mean():
@@ -181,16 +262,16 @@ def _assemble_reference(table, lines, cuts):
     rows_a = [np.hstack([dmat, zero]), np.hstack([-dmat, zero])]
     rows_b = [cap - table.offset[lines], cap + table.offset[lines]]
     for cut in cuts:
-        k = cut.line
+        k = cut["line"]
         d, off = table.gen[k], table.offset[k]
-        intercept = cut.s_hat - cut.grad * cut.d_hat
+        intercept = cut["s_hat"] - cut["grad"] * cut["d_hat"]
         if abs(table.eta_t[k] - table.eta_s[k]) < 1e-15:
             kinds = [(table.eta_t[k], min(table.bound[k], 1.0))]
         else:
             kinds = [(table.eta_t[k], table.bound[k]), (table.eta_s[k], 1.0)]
         for eta_k, bound in kinds:
             if eta_k > 0.0:
-                coeff = eta_k * cut.grad * d
+                coeff = eta_k * cut["grad"] * d
                 rhs = bound - eta_k * intercept
                 rows_a.append(np.vstack([np.hstack([d, coeff]), np.hstack([-d, coeff])]))
                 rows_b.append(np.array([rhs - off, rhs + off]))
@@ -205,12 +286,12 @@ def test_assembled_rows_match_per_cut_loop():
                         eps_gen=[0.1, 0.1])
     table = build_conic_constraints(net, chance)
     lines = np.arange(net.n_line)
-    cuts = _tangents(table, lines, np.zeros(net.n_line), 0)
-    cuts += _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)
+    cuts = np.concatenate([_tangents(table, lines, np.zeros(net.n_line), 0),
+                           _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)])
     # base rows of every line, of two, and of none, as when all are screened
     for base in (lines, np.array([0, 2]), np.array([], dtype=int)):
         rows = _CutRows(table, base)
-        for batch in (cuts[:2], cuts[2:5], [], cuts[5:]):  # grows its buffer
+        for batch in (cuts[:2], cuts[2:5], cuts[:0], cuts[5:]):  # grows its buffer
             rows.add(batch)
         a_in, b_in = rows.view()
         a_ref, b_ref = _assemble_reference(table, base, cuts)
@@ -229,7 +310,7 @@ def test_cc_unbinding_terminates_first_iteration():
     assert sol.dispatch.p[0] == pytest.approx(0.8, abs=1e-8)
     assert sol.dispatch.alpha[0] == pytest.approx(1.0, abs=1e-12)
     # the screen drops the only line, yet the report still covers it
-    assert sol.cuts == []
+    assert sol.cuts.size == 0
     assert sol.violations.shape == (2,) and np.all(sol.violations < 0.0)
 
 
@@ -295,9 +376,10 @@ def test_cc_cuts_underestimate_s_everywhere():
     for _ in range(100):
         a = rng.dirichlet(np.ones(net.n_gen))
         spread = sol.table.spread(Dispatch(p=sol.dispatch.p, alpha=a))
-        for cut in sol.cuts:
-            d = float(sol.table.gen[cut.line] @ a)
-            assert cut.value(d) <= spread[cut.line] + 1e-9
+        cuts = sol.cuts
+        d = sol.table.gen[cuts["line"]] @ a
+        value = cuts["s_hat"] + cuts["grad"] * (d - cuts["d_hat"])
+        assert np.all(value <= spread[cuts["line"]] + 1e-9)
 
 
 def test_cc_add_all_variant_same_optimum():
@@ -440,12 +522,12 @@ def _feasible_draws(table, lo_p, hi_p, total, rng, n_mixed=10_000):
     return P, A
 
 
-def _conic_slacks(table, P, A):
+def _conic_slacks(table, sens, P, A):
     # (thermal, sync) slacks, draws x lines, straight from the definitions
     mean = np.abs(P @ table.gen.T + table.offset)
     d = A @ table.gen.T
     spread = np.column_stack([
-        np.linalg.norm(table.sigma * (table.wind[l] - d[:, l : l + 1]), axis=1)
+        np.linalg.norm(sens.sigma * (sens.wind[l] - d[:, l : l + 1]), axis=1)
         for l in range(table.offset.size)
     ])
     return mean + table.eta_t * spread - table.bound, mean + table.eta_s * spread - 1.0
@@ -469,7 +551,7 @@ def test_screened_lines_never_bind(case, golden, n_kept):
     assert np.all(P >= lo_p - 1e-12) and np.all(P <= hi_p + 1e-12)
     assert np.allclose(P.sum(axis=1), total, atol=1e-9, rtol=0)
     assert np.all(A >= 0.0) and np.allclose(A.sum(axis=1), 1.0, atol=1e-12, rtol=0)
-    thermal, sync = _conic_slacks(table, P, A)
+    thermal, sync = _conic_slacks(table, net.gap_sensitivity, P, A)
     assert thermal[:, screened].max(initial=-np.inf) <= 0.0
     assert sync[:, screened].max(initial=-np.inf) <= 0.0
 
@@ -499,6 +581,7 @@ def test_screen_keeps_the_solve_and_its_reports(load, add_all, monkeypatch):
     assert sol.violations.size == 2 * net.n_line and sol.mean_flow.size == net.n_line
     assert np.array_equal(sol.dispatch.p, ref.dispatch.p)
     assert np.array_equal(sol.dispatch.alpha, ref.dispatch.alpha)
-    first = {c.line for c in sol.cuts if c.iteration == 0}
-    assert sol.cuts == [c for c in ref.cuts if c.iteration > 0 or c.line in first]
+    first = sol.cuts["line"][sol.cuts["iteration"] == 0]
+    keep = (ref.cuts["iteration"] > 0) | np.isin(ref.cuts["line"], first)
+    assert np.array_equal(sol.cuts, ref.cuts[keep])
 

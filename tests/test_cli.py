@@ -11,7 +11,7 @@ import pytest
 
 from syncopf import parse_case, read_report, solve_dc_opf, solve_pf
 from syncopf.case_io import read_flow_table, write_report
-from syncopf.cli import build_parser, main
+from syncopf.cli import EXIT_USAGE, build_parser, main
 from syncopf.network import Dispatch, injection_vector
 
 DATA = Path(__file__).parent / "data"
@@ -347,6 +347,13 @@ def test_usage_errors(capsys):
     assert main(["frobnicate"]) == 1
     capsys.readouterr()
     assert main([]) == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-5", "ten"])
+def test_validate_rejects_nonpositive_samples(samples, capsys):
+    code = main(["validate", "--case", "cases/case9_wind.json",
+                 "--dispatch", str(DATA / "ccopf_case9_wind.json"), "--samples", samples])
+    assert code == EXIT_USAGE
 
 
 def test_emit_plot_data(tmp_path, capsys):
