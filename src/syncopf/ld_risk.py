@@ -60,10 +60,11 @@ def e_dc_closed_form(
     if not 0 <= line < net.n_line:
         raise DomainError(f"line index {line} out of range")
     sens = net.gap_sensitivity
-    mean_gap = float(sens.mean(dispatch)[line])
-    coeff = sens.response(dispatch)[line]
+    mean_gap = float(sens.mean(dispatch, line))
+    d = sens.gen[line] @ dispatch.alpha  # the line's own row only
+    coeff = sens.wind[line] - d
     sig = sens.sigma
-    var_form = float(sens.spread(dispatch)[line]) ** 2
+    var_form = float(sens.spread_at(d, line)) ** 2
     if var_form <= 1e-300:
         raise ZeroVarianceError(
             f"line {line}: angle gap has no wind variance, instanton undefined"

@@ -5,6 +5,24 @@ seed, so sample i is a pure function of (seed, i): reruns and chunked
 processing reproduce bit-identical draws. Gaussians come from the
 inverse normal CDF applied to the uniform stream.
 
+A run of more than one chunk is split into contiguous sample ranges, one
+per CPU the process may run on (_WORKERS), at most one per chunk. Sample
+i takes the n_w uniforms from stream position i * n_w on, and Philox
+gives four doubles per counter step, so a range that starts at position
+s builds its own generator, advances its counter by s // 4 and skips
+s % 4 doubles (_normals): it draws exactly what one sequential stream
+would. The calling thread tallies the first range while a thread pool
+tallies the others; Philox, ndtri, sorting and BLAS release the
+interpreter lock, so the ranges run at once. Each range returns integer
+counts, whose sum does not depend on its order, so a report is byte for
+byte the same on any number of CPUs. A range draws in chunks of
+ceil(chunk / ranges) samples, so all ranges together hold the buffers
+of one chunk. A run of one chunk (the 1000-sample nonlinear validations
+of case9 and of a 100-bus mesh, say) stays one range on the calling
+thread, with the same draws, sub-batches and solves as a sequential
+run, so its time and the host-probe samples it gets (see below) do not
+change.
+
 The linear check mirrors the solver's own model: per-sample angle gaps
 are mean + C w, thermal exceedances count |beta * gap| > pbar and sync
 events |gap| >= 1, with per-side tallies. With w = z * sigma, line l's
@@ -38,8 +56,11 @@ flows coincide, so thermal counts match sample for sample.
 """
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,11 +78,14 @@ NONLINEAR_DEFAULT_MAX = 10_000
 _CHUNK_TARGET = 10_000_000  # upper bound on per-chunk matrix entries
 _BATCH_TARGET = 1 << 18  # about S * lines * chords entries per nonlinear sub-batch
 _BATCH_SAMPLES = 10  # and at most this many samples; see the module docstring
+# the CPUs this process may run on: one sample range each (see the module docstring)
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def ci_halfwidth(p: float, n: int, z: float = Z99) -> float:
-    """Half-width of the normal-approximation binomial confidence band."""
-    return z * math.sqrt(max(p * (1.0 - p), 0.0) / n)
+def ci_halfwidth(p, n: int, z: float = Z99):
+    """Half-width of the normal-approximation binomial confidence band at
+    probability p, or at each entry of an array p."""
+    return z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
 
 
 @dataclass
@@ -148,64 +172,72 @@ def run_mc(
     abs_mean = np.abs(mean)
     margin = np.minimum(cap_t, 1.0) - abs_mean
     if nonlinear:
-        batch = max(1, min(_BATCH_SAMPLES,
-                           _BATCH_TARGET // max(m * net.spanning_tree.chords.size, 1)))
+        basis = net.spanning_tree
+        basis.tree_inverse  # built here, before any thread reads it
+        batch = max(1, min(_BATCH_SAMPLES, _BATCH_TARGET // max(m * basis.chords.size, 1)))
 
-    rng = np.random.Generator(np.random.Philox(key=seed))
     chunk = max(1, min(n_samples, _CHUNK_TARGET // max(m, 1)))
-    # every chunk draws into these: uniforms, then normals z in place; w = z * sigma
-    z_buf, w_buf = np.empty((chunk, n_w)), np.empty((chunk, n_w))
+    parts = min(_WORKERS, -(-n_samples // chunk))
+    step = -(-chunk // parts)  # samples per chunk in each part: the same memory in all
+    bounds = [n_samples * k // parts for k in range(parts + 1)]
 
-    th_pos = np.zeros(m, dtype=np.int64)
-    th_neg = np.zeros(m, dtype=np.int64)
-    sy_pos = np.zeros(m, dtype=np.int64)
-    sy_neg = np.zeros(m, dtype=np.int64)
-    g_over = np.zeros(g, dtype=np.int64)
-    g_under = np.zeros(g, dtype=np.int64)
-    nl_th = np.zeros(m, dtype=np.int64)
-    nl_sy = np.zeros(m, dtype=np.int64)
-    nl_loss = 0
-    failures = 0
+    def tally(first: int, stop: int, buf: np.ndarray):
+        """Event counts over samples [first, stop), drawn chunk by chunk
+        into buf (z, then w = z * sigma in place): per line (thermal +/-,
+        sync +/-, nonlinear thermal and sync), per generator (over, under)
+        and in all (nonlinear sync loss, solve failures)."""
+        lines = np.zeros((6, m), dtype=np.int64)
+        gens = np.zeros((2, g), dtype=np.int64)
+        events = np.zeros(2, dtype=np.int64)
+        for lo in range(first, stop, step):
+            w = _normals(seed, lo * n_w, buf[:min(step, stop - lo)])  # with no wind, empty
+            size = w.shape[0]
+            z_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", w, w))))
+            np.multiply(w, sig, out=w)
+            live = np.flatnonzero(
+                spread * z_max + 1e-9 * (abs_mean + spread) * (1.0 + z_max) >= margin)
+            gaps = w @ coeff[live].T
+            gaps += mean[live]
+            lines[0, live] += np.count_nonzero(gaps > cap_t[live], axis=0)
+            lines[1, live] += np.count_nonzero(gaps < -cap_t[live], axis=0)
+            lines[2, live] += np.count_nonzero(gaps >= 1.0, axis=0)
+            lines[3, live] += np.count_nonzero(gaps <= -1.0, axis=0)
+            del gaps  # before the sub-batches and the next chunk's draws
 
-    done = 0
-    while done < n_samples:
-        size = min(chunk, n_samples - done)
-        z, w = z_buf[:size], w_buf[:size]  # with no wind, empty: z_max is 0
-        rng.random(out=z)
-        ndtri(np.clip(z, 1e-16, 1.0 - 1e-16, out=z), out=z)
-        np.multiply(z, sig, out=w)
-        z_max = math.sqrt(float(np.max(np.einsum("ij,ij->i", z, z))))
-        live = np.flatnonzero(
-            spread * z_max + 1e-9 * (abs_mean + spread) * (1.0 + z_max) >= margin)
-        gaps = w @ coeff[live].T
-        gaps += mean[live]
-        th_pos[live] += np.count_nonzero(gaps > cap_t[live], axis=0)
-        th_neg[live] += np.count_nonzero(gaps < -cap_t[live], axis=0)
-        sy_pos[live] += np.count_nonzero(gaps >= 1.0, axis=0)
-        sy_neg[live] += np.count_nonzero(gaps <= -1.0, axis=0)
-        del gaps  # before the sub-batches and the next chunk's draws
+            gens += _generator_tally(np.sort(w.sum(axis=1)), dispatch.p, dispatch.alpha,
+                                     net.pmin, net.pmax)
 
-        over, under = _generator_tally(np.sort(w.sum(axis=1)), dispatch.p, dispatch.alpha,
-                                       net.pmin, net.pmax)
-        g_over += over
-        g_under += under
+            if nonlinear:
+                for b in range(0, size, batch):
+                    w_full = np.zeros((min(batch, size - b), net.n_bus))
+                    w_full[:, wind] = w[b:b + batch]
+                    q = injection_vector(net, dispatch, wind=w_full)
+                    unbalanced = np.abs(q.sum(axis=1)) > 1e-9
+                    res = solve_pf_batch(net, q[~unbalanced], enforce_thermal_cap=False)
+                    hit = res.boundary_hit & ~res.failed
+                    lost = np.count_nonzero(unbalanced)
+                    events += (lost + np.count_nonzero(res.failed | hit),
+                               lost + np.count_nonzero(res.failed))
+                    lines[5] += np.count_nonzero(
+                        np.abs(res.rho[hit]) >= 1.0 - 10.0 * MARGIN - 1e-12, axis=0)
+                    interior = ~(res.boundary_hit | res.failed)
+                    lines[4] += np.count_nonzero(
+                        np.abs(net.beta * res.rho[interior]) > net.pbar, axis=0)
+        return lines, gens, events
 
-        if nonlinear:
-            for lo in range(0, size, batch):
-                w_full = np.zeros((min(batch, size - lo), net.n_bus))
-                w_full[:, wind] = w[lo:lo + batch]
-                q = injection_vector(net, dispatch, wind=w_full)
-                unbalanced = np.abs(q.sum(axis=1)) > 1e-9
-                res = solve_pf_batch(net, q[~unbalanced], enforce_thermal_cap=False)
-                hit = res.boundary_hit & ~res.failed
-                failures += np.count_nonzero(unbalanced) + np.count_nonzero(res.failed)
-                nl_loss += np.count_nonzero(unbalanced) + np.count_nonzero(res.failed | hit)
-                nl_sy += np.count_nonzero(
-                    np.abs(res.rho[hit]) >= 1.0 - 10.0 * MARGIN - 1e-12, axis=0)
-                interior = ~(res.boundary_hit | res.failed)
-                nl_th += np.count_nonzero(
-                    np.abs(net.beta * res.rho[interior]) > net.pbar, axis=0)
-        done += size
+    # buffers allocated on this thread: one that a pool thread allocates and
+    # frees stays in its malloc arena (+1.3 MB peak RSS over solve-validate rounds)
+    ranges = [(lo, hi, np.empty((min(step, hi - lo), n_w))) for lo, hi in zip(bounds, bounds[1:])]
+    # the other parts are queued before this thread takes the first one
+    futures = [_pool(_WORKERS - 1).submit(tally, *r) for r in ranges[1:]]
+    try:
+        counts = [tally(*ranges[0])]
+    finally:
+        counts += [f.result() for f in futures]
+    lines, gens, events = (sum(c) for c in zip(*counts))  # integers: any order is exact
+    th_pos, th_neg, sy_pos, sy_neg, nl_th, nl_sy = lines
+    g_over, g_under = gens
+    nl_loss, failures = (int(k) for k in events)
 
     inv = 1.0 / n_samples
     report = McReport(
@@ -221,15 +253,32 @@ def run_mc(
         gen_freq=(g_over + g_under) * inv,
         gen_over=g_over * inv,
         gen_under=g_under * inv,
-        solve_failures=int(failures),
+        solve_failures=failures,
         nl_thermal_freq=nl_th * inv if nonlinear else None,
         nl_sync_line_freq=nl_sy * inv if nonlinear else None,
-        nl_sync_loss_freq=int(nl_loss) * inv if nonlinear else None,
+        nl_sync_loss_freq=nl_loss * inv if nonlinear else None,
     )
     if failures:
         logger.warning("%d/%d nonlinear solves failed (counted as sync loss)",
                        failures, n_samples)
     return report
+
+
+def _normals(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill out, row by row, with the standard normals at positions start,
+    start + 1, ... of the Philox stream keyed by seed, and return it."""
+    start = int(start)  # advance() overflows on numpy integers
+    bits = np.random.Philox(key=seed)
+    bits.advance(start // 4)  # one counter step gives four doubles
+    bits.random_raw(start % 4)
+    np.random.Generator(bits).random(out=out)
+    return ndtri(np.clip(out, 1e-16, 1.0 - 1e-16, out=out), out=out)
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """Threads for the sample ranges after the first, started on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="syncopf-mc")
 
 
 def _generator_tally(w_sorted, p, alpha, pmin, pmax):
@@ -272,25 +321,13 @@ def certify(report: McReport, chance: ChanceSpec) -> tuple[bool, list]:
     """
     n = report.n_samples
     failures = []
-    for k, eps in enumerate(chance.eps_line):
+    for what, name, freq, eps in (
+        ("line", "thermal", report.thermal_freq, chance.eps_line),
+        ("line", "sync", report.sync_freq, chance.eps_sync),
+        ("generator", "bound", report.gen_freq, chance.eps_gen),
+    ):
         limit = eps + ci_halfwidth(eps, n)
-        if report.thermal_freq[k] > limit:
-            failures.append(
-                f"line {k}: thermal frequency {report.thermal_freq[k]:.6g} > "
-                f"eps {eps:.6g} + CI {limit - eps:.2g}"
-            )
-    for k, eps in enumerate(chance.eps_sync):
-        limit = eps + ci_halfwidth(eps, n)
-        if report.sync_freq[k] > limit:
-            failures.append(
-                f"line {k}: sync frequency {report.sync_freq[k]:.6g} > "
-                f"eps {eps:.6g} + CI {limit - eps:.2g}"
-            )
-    for i, eps in enumerate(chance.eps_gen):
-        limit = eps + ci_halfwidth(eps, n)
-        if report.gen_freq[i] > limit:
-            failures.append(
-                f"generator {i}: bound frequency {report.gen_freq[i]:.6g} > "
-                f"eps {eps:.6g} + CI {limit - eps:.2g}"
-            )
+        failures += [f"{what} {k}: {name} frequency {freq[k]:.6g} > "
+                     f"eps {eps[k]:.6g} + CI {limit[k] - eps[k]:.2g}"
+                     for k in np.flatnonzero(freq > limit)]
     return (not failures, failures)

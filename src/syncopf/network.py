@@ -140,9 +140,9 @@ class GapMoments:
     ``S_l(d) = sqrt(c (d - d_bar_l)^2 + r_l^2)``. Subclasses provide
     ``gen`` (rows ``D_l``), ``offset``, ``c``, ``d_bar`` and ``r``."""
 
-    def mean(self, dispatch: Dispatch) -> np.ndarray:
-        """Mean angle gap of every line."""
-        return self.gen @ dispatch.p + self.offset
+    def mean(self, dispatch: Dispatch, lines=...) -> np.ndarray:
+        """Mean angle gap of the given lines (all by default)."""
+        return self.gen[lines] @ dispatch.p + self.offset[lines]
 
     def spread(self, dispatch: Dispatch) -> np.ndarray:
         """Standard deviation S of every line's angle gap."""

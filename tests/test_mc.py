@@ -3,6 +3,7 @@ analytic probabilities, per-side bookkeeping, tree exactness of the
 nonlinear re-solve, and certification against chance budgets."""
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +30,12 @@ def two_bus(sigma=0.25, pbar=1.1):
     )
 
 
-def mesh():
+def mesh(wind=1.0):
     return Network(
         buses=[
             Bus(1),
-            Bus(2, demand=0.6, wind_mean=0.1, wind_sigma=0.2),
-            Bus(3, demand=0.8, wind_mean=0.1, wind_sigma=0.15),
+            Bus(2, demand=0.6, wind_mean=0.1, wind_sigma=0.2 * wind),
+            Bus(3, demand=0.8, wind_mean=0.1, wind_sigma=0.15 * wind),
         ],
         generators=[
             Generator(bus=1, pmin=0.0, pmax=2.0, c1=1.0),
@@ -144,6 +145,19 @@ def test_chunking_does_not_change_stream(monkeypatch):
     assert np.array_equal(whole.gen_freq, chunked.gen_freq)
 
 
+@pytest.mark.parametrize("seed", [0, 2026])
+def test_normals_are_slices_of_one_philox_stream(seed):
+    # every phase within a counter step of four doubles, and a numpy integer
+    # start, which Philox.advance itself would reject
+    ref = np.random.Generator(np.random.Philox(key=seed)).random(4200)
+    for start in (0, 1, 2, 3, 4, 5, 6, 7, 1001, 1002, np.int64(4099), np.uint32(4096)):
+        out = np.empty((3, 5))
+        got = mc_mod._normals(seed, start, out)
+        assert got is out
+        want = ndtri(np.clip(ref[int(start):int(start) + 15], 1e-16, 1.0 - 1e-16)).reshape(3, 5)
+        assert np.array_equal(got, want), start
+
+
 def limits_grid():
     """Line 1-2 has pbar > beta, so sync is its tighter limit; line 3-4
     carries a mean gap beyond its cap whatever the wind."""
@@ -214,16 +228,57 @@ def test_screened_tallies_match_dense_reference(monkeypatch, name):
     if name == "windless":
         assert want[2, 0] == n and not want[:2, 0].any()
         assert want[1, 1] == n and not want[:, 2].any()
-    for chunk_target in (mc_mod._CHUNK_TARGET, 997 * net.n_line):  # one chunk, then 41
-        monkeypatch.setattr(mc_mod, "_CHUNK_TARGET", chunk_target)
-        rep = run_mc(net, disp, n_samples=n, seed=31, nonlinear=False)
-        got = np.array([rep.thermal_pos, rep.thermal_neg, rep.sync_pos, rep.sync_neg]) * n
-        assert np.array_equal(np.rint(got).astype(np.int64), want)
+    for workers in (1, 2):
+        monkeypatch.setattr(mc_mod, "_WORKERS", workers)
+        for chunk_target in (mc_mod._CHUNK_TARGET, 997 * net.n_line):  # one chunk, then 41
+            monkeypatch.setattr(mc_mod, "_CHUNK_TARGET", chunk_target)
+            rep = run_mc(net, disp, n_samples=n, seed=31, nonlinear=False)
+            got = np.array([rep.thermal_pos, rep.thermal_neg, rep.sync_pos, rep.sync_neg]) * n
+            assert np.array_equal(np.rint(got).astype(np.int64), want)
     # the screen skips some lines in every chunk, and some lines it keeps trip
     sens = net.gap_sensitivity
     margin = np.minimum(net.pbar / net.beta, 1.0) - np.abs(sens.mean(disp))
     assert np.any(margin > 2.0 * sens.spread(disp) * z_max + 1e-6)
     assert np.any(want)
+
+
+# with wind * 4 some nonlinear samples of the mesh lose synchrony and some
+# overload a line
+WORKER_CASES = {
+    "mesh-linear": (mesh, [0.7, 0.5], [0.5, 0.5], 600, False, 37),
+    "tight-nonlinear": (lambda: mesh(wind=4.0), [0.7, 0.5], [0.5, 0.5], 150, True, 13),
+    # alpha off by 5e-9: samples with |total wind| > 0.2 leave injections
+    # unbalanced, and are counted as solve failures
+    "unbalanced-nonlinear": (lambda: mesh(wind=4.0), [0.7, 0.5], [0.5, 0.5 + 5e-9], 90, True, 11),
+    "windless": (windless_grid, [2.4], [1.0], 300, True, 29),
+    "fewer-samples-than-workers": (mesh, [0.7, 0.5], [0.5, 0.5], 2, False, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(WORKER_CASES))
+def test_reports_do_not_depend_on_workers(monkeypatch, name):
+    build, p, alpha, n, nonlinear, chunk = WORKER_CASES[name]
+    net = build()
+    disp = Dispatch(p=np.array(p), alpha=np.array(alpha))
+    monkeypatch.setattr(mc_mod, "_CHUNK_TARGET", chunk * net.n_line)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches inside every range
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc_mod, "_WORKERS", workers)
+            reports.append(run_mc(net, disp, n_samples=n, seed=17, nonlinear=nonlinear).to_dict())
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    doc = reports[0]
+    if name == "tight-nonlinear":
+        assert doc["nl_sync_loss_freq"] > 0 and any(doc["nl_thermal_freq"])
+        assert any(doc["nl_sync_line_freq"]) and any(doc["thermal_freq"])
+    if name == "unbalanced-nonlinear":
+        assert 0 < doc["solve_failures"] < n
+    if name == "windless":
+        assert any(doc["thermal_freq"]) and doc["solve_failures"] == 0
 
 
 def test_generator_tally_matches_dense_count():
@@ -319,6 +374,42 @@ def test_certify_flags_excess():
     ok, failures = certify(rep, ChanceSpec.uniform(net, eps_line=0.01))
     assert not ok
     assert any("thermal" in f for f in failures)
+
+
+def _certify_loop(report, chance):
+    """certify's failures entry by entry, in scalar arithmetic: the reference."""
+    n = report.n_samples
+    failures = []
+    for what, name, freq, budgets in (("line", "thermal", report.thermal_freq, chance.eps_line),
+                                      ("line", "sync", report.sync_freq, chance.eps_sync),
+                                      ("generator", "bound", report.gen_freq, chance.eps_gen)):
+        for k, eps in enumerate(budgets.tolist()):
+            limit = eps + Z99 * math.sqrt(max(eps * (1.0 - eps), 0.0) / n)
+            if freq[k] > limit:
+                failures.append(f"{what} {k}: {name} frequency {freq[k]:.6g} > "
+                                f"eps {eps:.6g} + CI {limit - eps:.2g}")
+    return failures
+
+
+def test_certify_failures_match_per_entry_loop():
+    net = limits_grid()
+    disp = Dispatch(p=np.array([1.6, 0.0]), alpha=np.array([0.5, 0.5]))
+    rep = run_mc(net, disp, n_samples=4000, seed=3, nonlinear=False)
+    chance = ChanceSpec(eps_line=np.linspace(1e-4, 0.02, net.n_line),
+                        eps_sync=np.full(net.n_line, 1e-4), eps_gen=np.full(net.n_gen, 1e-3))
+    want = _certify_loop(rep, chance)
+    kinds = {f.split(" frequency")[0].split(": ")[1] for f in want}
+    assert kinds == {"thermal", "sync", "bound"}  # lines and generators fail
+    ok, got = certify(rep, chance)
+    assert not ok and got == want
+    # a frequency exactly on its limit passes, one just above it fails
+    limit = chance.eps_gen + ci_halfwidth(chance.eps_gen, rep.n_samples)
+    rep.gen_freq = limit.copy()
+    rep.gen_freq[1] = np.nextafter(limit[1], 1.0)
+    got = certify(rep, chance)[1]
+    assert got == _certify_loop(rep, chance)
+    gen_failures = [f for f in got if f.startswith("generator")]
+    assert len(gen_failures) == 1 and gen_failures[0].startswith("generator 1:")
 
 
 def test_ci_halfwidth_value():
