@@ -21,8 +21,9 @@ topology, limits, and polynomial costs; resistance and voltage data are
 dropped with a logged warning since the model is lossless and
 voltage-uniform.
 
-Reports serialize deterministically: fixed key order, floats rounded to
-12 significant digits, so byte-identical runs are byte-identical files.
+Reports serialize deterministically through one writer, write_json:
+fixed key order, json's indent=2 layout, floats rounded to 12
+significant digits, so byte-identical runs are byte-identical files.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +117,59 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _whole(entry: dict, key: str) -> int:
+    """entry[key], which must be present, as an int; a number with a
+    fractional part is refused rather than truncated."""
+    value = entry[key]
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"field '{key}' must be a whole number, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field '{key}': {exc}") from None
+
+
+def _number(entry: dict, key: str, default: float | None = None) -> float:
+    """entry[key] as a float; the key is required when default is None."""
+    value = entry[key] if default is None else entry.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"field '{key}': {exc}") from None
+
+
+def _entries(doc: dict, name: str, ctx: str, make) -> list:
+    """make(entry) for every entry of the list doc[name]. An error names
+    the entry by its index; the message is built only when one is raised."""
+    out = []
+    try:
+        for entry in _require(doc, name, ctx):
+            out.append(make(entry))
+    except KeyError as exc:
+        raise ParseError(f"{ctx}: {name}[{len(out)}]: missing required field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{ctx}: {name}[{len(out)}]: {exc}") from exc
+    return out
+
+
+def _bus(b: dict) -> Bus:
+    return Bus(id=_whole(b, "id"), demand=_number(b, "d", 0.0),
+               wind_mean=_number(b, "mu", 0.0), wind_sigma=_number(b, "sigma", 0.0))
+
+
+def _generator(g: dict) -> Generator:
+    return Generator(bus=_whole(g, "bus"), pmin=_number(g, "pmin"), pmax=_number(g, "pmax"),
+                     c1=_number(g, "c1", 0.0), c2=_number(g, "c2", 0.0),
+                     c3=_number(g, "c3", 0.0))
+
+
+def _line(l: dict) -> Line:
+    return Line(from_bus=_whole(l, "from"), to_bus=_whole(l, "to"),
+                beta=_number(l, "beta"), pbar=_number(l, "pbar"))
+
+
 def _merge_parallel(lines: list[Line]) -> list[Line]:
     merged: dict[tuple[int, int], Line] = {}
     order: list[tuple[int, int]] = []
@@ -142,85 +197,50 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     if version != SCHEMA_VERSION:
         raise ParseError(f"{ctx}: unrecognized schema_version {version!r}")
 
-    buses = []
-    for i, b in enumerate(_require(doc, "buses", ctx)):
-        c = f"{ctx}: buses[{i}]"
-        try:
-            buses.append(
-                Bus(
-                    id=int(_require(b, "id", c)),
-                    demand=float(b.get("d", 0.0)),
-                    wind_mean=float(b.get("mu", 0.0)),
-                    wind_sigma=float(b.get("sigma", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{c}: {exc}") from exc
-
-    gens = []
-    for i, g in enumerate(_require(doc, "generators", ctx)):
-        c = f"{ctx}: generators[{i}]"
-        try:
-            gens.append(
-                Generator(
-                    bus=int(_require(g, "bus", c)),
-                    pmin=float(_require(g, "pmin", c)),
-                    pmax=float(_require(g, "pmax", c)),
-                    c1=float(g.get("c1", 0.0)),
-                    c2=float(g.get("c2", 0.0)),
-                    c3=float(g.get("c3", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{c}: {exc}") from exc
+    buses = _entries(doc, "buses", ctx, _bus)
+    gens = _entries(doc, "generators", ctx, _generator)
     if not gens:
         raise ValidationError(f"{ctx}: at least one generator required")
+    lines = _merge_parallel(_entries(doc, "lines", ctx, _line))
 
-    lines = []
-    for i, l in enumerate(_require(doc, "lines", ctx)):
-        c = f"{ctx}: lines[{i}]"
-        try:
-            lines.append(
-                Line(
-                    from_bus=int(_require(l, "from", c)),
-                    to_bus=int(_require(l, "to", c)),
-                    beta=float(_require(l, "beta", c)),
-                    pbar=float(_require(l, "pbar", c)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{c}: {exc}") from exc
-    lines = _merge_parallel(lines)
-
-    slack = doc.get("slack_bus")
-    net = Network(buses, gens, lines, slack_bus=int(slack) if slack is not None else None)
+    try:
+        slack = _whole(doc, "slack_bus") if doc.get("slack_bus") is not None else None
+    except ValueError as exc:
+        raise ParseError(f"{ctx}: {exc}") from exc
+    net = Network(buses, gens, lines, slack_bus=slack)
 
     chance_doc = doc.get("chance", {})
-    spec = ChanceSpec.uniform(
-        net,
-        eps_line=chance_doc.get("eps_line_default", DEFAULT_EPS_LINE),
-        eps_sync=chance_doc.get("eps_sync_default", DEFAULT_EPS_SYNC),
-        eps_gen=chance_doc.get("eps_gen_default", DEFAULT_EPS_GEN),
-    )
+    try:
+        spec = ChanceSpec.uniform(
+            net,
+            eps_line=_number(chance_doc, "eps_line_default", DEFAULT_EPS_LINE),
+            eps_sync=_number(chance_doc, "eps_sync_default", DEFAULT_EPS_SYNC),
+            eps_gen=_number(chance_doc, "eps_gen_default", DEFAULT_EPS_GEN),
+        )
+    except ValueError as exc:
+        raise ParseError(f"{ctx}: chance: {exc}") from exc
     eps_line = spec.eps_line.copy()
     eps_sync = spec.eps_sync.copy()
     eps_gen = spec.eps_gen.copy()
     for i, ov in enumerate(chance_doc.get("overrides", [])):
         c = f"{ctx}: chance.overrides[{i}]"
-        if "gen" in ov:
-            gi = int(ov["gen"])
-            if not (0 <= gi < net.n_gen):
-                raise ValidationError(f"{c}: generator index {gi} out of range")
-            if "eps_gen" in ov:
-                eps_gen[gi] = _check_eps(ov["eps_gen"], f"{c}: eps_gen")
-        elif "from" in ov and "to" in ov:
-            li = net.line_between(int(ov["from"]), int(ov["to"]))
-            if "eps_line" in ov:
-                eps_line[li] = _check_eps(ov["eps_line"], f"{c}: eps_line")
-            if "eps_sync" in ov:
-                eps_sync[li] = _check_eps(ov["eps_sync"], f"{c}: eps_sync")
-        else:
-            raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
+        try:
+            if "gen" in ov:
+                gi = _whole(ov, "gen")
+                if not (0 <= gi < net.n_gen):
+                    raise ValidationError(f"{c}: generator index {gi} out of range")
+                if "eps_gen" in ov:
+                    eps_gen[gi] = _check_eps(_number(ov, "eps_gen"), f"{c}: eps_gen")
+            elif "from" in ov and "to" in ov:
+                li = net.line_between(_whole(ov, "from"), _whole(ov, "to"))
+                if "eps_line" in ov:
+                    eps_line[li] = _check_eps(_number(ov, "eps_line"), f"{c}: eps_line")
+                if "eps_sync" in ov:
+                    eps_sync[li] = _check_eps(_number(ov, "eps_sync"), f"{c}: eps_sync")
+            else:
+                raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
+        except ValueError as exc:
+            raise ParseError(f"{c}: {exc}") from exc
     return net, ChanceSpec(eps_line=eps_line, eps_sync=eps_sync, eps_gen=eps_gen)
 
 
@@ -294,6 +314,97 @@ def _chance_overrides(net: Network, chance: ChanceSpec) -> list[dict]:
     return out
 
 
+# --- JSON output ------------------------------------------------------------
+
+def _float_json(x: float) -> str:
+    """x rounded to 12 significant digits, as float.__repr__ writes the
+    rounded value.
+
+    For 1e-307 <= |x| < 1e11, and for zero, the '.12g' string is that repr
+    but for a missing '.0' on whole numbers: a decimal of at most 15
+    significant digits names a normal double that no shorter decimal names,
+    so repr's shortest round-trip digits are the '.12g' digits, and both
+    formats switch to an exponent below 1e-4 alike. Elsewhere the rounded
+    value is parsed back and written by float.__repr__: subnormals keep
+    fewer digits, '.12g' writes an exponent from 1e12 where repr waits for
+    1e16, and NaN and the infinities read NaN and Infinity as json writes
+    them.
+    """
+    ax = abs(x)
+    if ax < 1e11 and (ax >= 1e-307 or ax == 0.0):
+        s = f"{x:.12g}"
+        return s if "." in s or "e" in s else s + ".0"
+    if x != x:
+        return "NaN"
+    if ax == math.inf:
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(float(f"{x:.12g}"))
+
+
+_JSON_SCALARS = {
+    float: _float_json,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_values(values, nl: str) -> list[str]:
+    """Each of values written as an element of a container, on a line
+    that starts with nl."""
+    get = _JSON_SCALARS.get
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (f := get(kinds.pop())) is not None:
+        return list(map(f, values))  # all of one scalar type, as a column mostly is
+    return [f(v) if (f := get(type(v))) else _json_text(v, nl) for v in values]
+
+
+def _json_objects(dicts: list[dict], nl: str, keys: tuple) -> list[str]:
+    """Each of dicts, whose keys are keys in this order, written from a line
+    that starts with nl: one template for all, filled column by column."""
+    inner = nl + "  "
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    template = "{" + inner + ("," + inner).join(fields) + nl + "}"
+    columns = [_json_values([d[k] for d in dicts], inner) for k in keys]
+    return [template % row for row in zip(*columns)]
+
+
+def _json_text(obj, nl: str) -> str:
+    """obj laid out as json.dumps(obj, indent=2) lays it out, nl being the
+    newline and indent of the line obj starts on."""
+    scalar = _JSON_SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        keys = tuple(obj[0]) if type(obj[0]) is dict else ()
+        if keys and all(type(d) is dict and tuple(d) == keys for d in obj):
+            items = _json_objects(obj, inner, keys)
+        else:
+            items = _json_values(obj, inner)
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        return _json_objects([obj], nl, tuple(obj))[0] if obj else "{}"
+    for base in (float, int, str):  # subclasses, such as numpy's float64
+        if isinstance(obj, base):
+            return _JSON_SCALARS[base](obj)
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def write_json(doc) -> bytes:
+    """The one JSON writer of reports and CLI output.
+
+    doc is made of dicts with str keys, lists, str, int, float, bool and
+    None. The result is byte for byte json.dumps(doc, indent=2) + "\\n",
+    ASCII-only, with every float rounded to 12 significant digits first,
+    so equal runs write equal files.
+    """
+    return (_json_text(doc, "\n") + "\n").encode()
+
+
 # --- solution reports -------------------------------------------------------
 
 @dataclass
@@ -353,24 +464,6 @@ class SolutionReport:
             if it.iteration <= last:
                 raise ValidationError("iteration numbers must be strictly increasing")
             last = it.iteration
-
-
-def _round12(x):
-    if isinstance(x, bool) or not isinstance(x, float):
-        return x
-    if math.isnan(x) or math.isinf(x):
-        return x
-    return float(f"{x:.12g}")
-
-
-def _round_tree(obj):
-    if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, list):
-        return [_round_tree(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    return obj
 
 
 def report_to_dict(report: SolutionReport) -> dict:
@@ -454,8 +547,7 @@ def write_report(report: SolutionReport, fmt: str = "json") -> bytes:
     """Serialize deterministically; 'json' is full-fidelity, 'csv' is the
     per-line flow table (line_id, mean_flow, prob_thermal, prob_sync)."""
     if fmt == "json":
-        doc = _round_tree(report_to_dict(report))
-        return (json.dumps(doc, indent=2) + "\n").encode()
+        return write_json(report_to_dict(report))
     if fmt == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")

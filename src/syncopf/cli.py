@@ -29,9 +29,9 @@ from .case_io import (
     GeneratorReport,
     LineReport,
     SolutionReport,
-    _round_tree,
     parse_case,
     read_report,
+    write_json,
     write_report,
 )
 from .cc_opf import analytic_violation_prob, generator_violation_prob, solve_cc_opf
@@ -171,19 +171,14 @@ def _report_from_dispatch(net, variant, dispatch, mean_flow,
     prob_g = generator_violation_prob(
         dispatch.p, dispatch.alpha, net.pmin, net.pmax, sigma_tot
     )
-    lines = [
-        LineReport(
-            line=k,
-            from_bus=ln.from_bus,
-            to_bus=ln.to_bus,
-            mean_flow=float(mean_flow[k]),
-            prob_thermal=float(prob_t[k]),
-            prob_sync=float(prob_s[k]),
-            binding_thermal=bool(binding_t[k]) if binding_t is not None else False,
-            binding_sync=bool(binding_s[k]) if binding_s is not None else False,
-        )
-        for k, ln in enumerate(net.lines)
-    ]
+    no_binding = [False] * net.n_line
+    columns = zip(
+        net.lines, np.asarray(mean_flow, dtype=float).tolist(), prob_t.tolist(), prob_s.tolist(),
+        no_binding if binding_t is None else np.asarray(binding_t, dtype=bool).tolist(),
+        no_binding if binding_s is None else np.asarray(binding_s, dtype=bool).tolist(),
+    )
+    lines = [LineReport(k, ln.from_bus, ln.to_bus, flow, p_t, p_s, b_t, b_s)
+             for k, (ln, flow, p_t, p_s, b_t, b_s) in enumerate(columns)]
     gens = [
         GeneratorReport(gen=i, bus=gen.bus, prob_bounds=float(prob_g[i]))
         for i, gen in enumerate(net.generators)
@@ -284,7 +279,7 @@ def cmd_pf(args) -> int:
         "rho": state.rho.tolist(),
         "flows": state.flows(net).tolist(),
     }
-    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
+    _emit(args, write_json(doc))
     return EXIT_OK
 
 
@@ -298,7 +293,7 @@ def cmd_validate(args) -> int:
     )
     ok, failures = certify(mc, chance)
     doc = {"certified": ok, "failures": failures, "mc": mc.to_dict()}
-    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
+    _emit(args, write_json(doc))
     return EXIT_OK if ok else EXIT_CERTIFICATION
 
 
@@ -334,7 +329,7 @@ def cmd_risk(args) -> int:
         "omega": res.omega.tolist(),
         "phi": res.phi,
     }
-    _emit(args, (json.dumps(_round_tree(doc), indent=2) + "\n").encode())
+    _emit(args, write_json(doc))
     return EXIT_OK
 
 

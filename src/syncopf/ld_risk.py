@@ -193,12 +193,13 @@ def nonlinear_instanton(
         float(np.max(np.abs(balance(res.x)))) if n > 1 else 0.0,
         abs(float(pin(res.x)[0])),
     )
-    if residual > 1e-8:
-        raise NoConvergenceError(
-            f"nonlinear instanton residual {residual:.3e} exceeds 1e-8 "
-            f"(solver status: {res.message})"
-        )
     energy = float(np.sum(omega**2 / (2.0 * sig**2)))
+    # written so that a NaN residual or energy fails the test too
+    if not (residual <= 1e-8 and math.isfinite(energy)):
+        raise NoConvergenceError(
+            f"nonlinear instanton residual {residual:.3e} (energy {energy:.6g}) "
+            f"not within 1e-8 (solver status: {res.message})"
+        )
     logger.info(
         "nonlinear instanton line %d: energy %.6g, residual %.2e", line, energy, residual
     )

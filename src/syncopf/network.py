@@ -16,6 +16,7 @@ the lossless AC model.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,11 +58,11 @@ class Bus:
     wind_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.demand < 0 or not np.isfinite(self.demand):
+        if self.demand < 0 or not math.isfinite(self.demand):
             raise ValidationError(f"bus {self.id}: demand must be finite and >= 0")
-        if self.wind_sigma < 0 or not np.isfinite(self.wind_sigma):
+        if self.wind_sigma < 0 or not math.isfinite(self.wind_sigma):
             raise ValidationError(f"bus {self.id}: wind_sigma must be finite and >= 0")
-        if not np.isfinite(self.wind_mean):
+        if not math.isfinite(self.wind_mean):
             raise ValidationError(f"bus {self.id}: wind_mean must be finite")
 
 
@@ -77,7 +78,7 @@ class Generator:
     c3: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.pmin) and np.isfinite(self.pmax)):
+        if not (math.isfinite(self.pmin) and math.isfinite(self.pmax)):
             raise ValidationError(f"generator at bus {self.bus}: bounds must be finite")
         if self.pmin > self.pmax:
             raise ValidationError(
@@ -103,11 +104,11 @@ class Line:
     def __post_init__(self):
         if self.from_bus == self.to_bus:
             raise ValidationError(f"line {self.from_bus}-{self.to_bus}: self-loop")
-        if not np.isfinite(self.beta) or self.beta <= 0:
+        if not math.isfinite(self.beta) or self.beta <= 0:
             raise NonPositiveSusceptanceError(
                 f"line {self.from_bus}-{self.to_bus}: beta must be > 0, got {self.beta}"
             )
-        if not np.isfinite(self.pbar) or self.pbar <= 0:
+        if not math.isfinite(self.pbar) or self.pbar <= 0:
             raise ValidationError(
                 f"line {self.from_bus}-{self.to_bus}: pbar must be > 0, got {self.pbar}"
             )

@@ -85,11 +85,12 @@ class QuadraticProgram:
 
     def __post_init__(self):
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.c = np.asarray(self.c, dtype=float).ravel()
+        self.c = _vector(self.c)
         n = self.c.size
         if self.Q.shape != (n, n):
             raise ValueError(f"Q shape {self.Q.shape} inconsistent with c length {n}")
-        if not np.allclose(self.Q, self.Q.T, atol=1e-10):
+        # the exact test settles the usual, exactly symmetric Q at a tenth of the cost
+        if not (np.array_equal(self.Q, self.Q.T) or np.allclose(self.Q, self.Q.T, atol=1e-10)):
             raise ValueError("Q must be symmetric")
         for name in ("A_eq", "A_in"):
             a = getattr(self, name)
@@ -103,25 +104,32 @@ class QuadraticProgram:
         if (self.A_in is None) != (self.b_in is None):
             raise ValueError("A_in and b_in must be given together")
         if self.b_eq is not None:
-            self.b_eq = np.asarray(self.b_eq, dtype=float).ravel()
+            self.b_eq = _vector(self.b_eq)
             if self.b_eq.size != self.A_eq.shape[0]:
                 raise ValueError("b_eq length mismatch")
         if self.b_in is not None:
-            self.b_in = np.asarray(self.b_in, dtype=float).ravel()
+            self.b_in = _vector(self.b_in)
             if self.b_in.size != self.A_in.shape[0]:
                 raise ValueError("b_in length mismatch")
         if self.lo is not None:
-            self.lo = np.asarray(self.lo, dtype=float).ravel()
+            self.lo = _vector(self.lo)
             if self.lo.size != n:
                 raise ValueError("lo length mismatch")
         if self.hi is not None:
-            self.hi = np.asarray(self.hi, dtype=float).ravel()
+            self.hi = _vector(self.hi)
             if self.hi.size != n:
                 raise ValueError("hi length mismatch")
 
     @property
     def n(self) -> int:
         return self.c.size
+
+
+def _vector(v) -> np.ndarray:
+    """v as a 1-D float array: a 1-D float array itself, so that a warm
+    start finds the previous QP's vectors by identity (_same)."""
+    v = np.asarray(v, dtype=float)
+    return v if v.ndim == 1 else v.ravel()
 
 
 @dataclass
@@ -502,28 +510,16 @@ def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
     res = float(np.max(np.abs(grad) - terms * np.finfo(float).eps * size, initial=0.0))
     if qp.A_eq is not None and qp.A_eq.shape[0]:
         res = max(res, float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))))
-    if qp.A_in is not None and qp.A_in.shape[0]:
-        ax = qp.A_in @ x
-        slack = qp.b_in - ax
-        size = np.abs(ax) + np.abs(qp.b_in)
-        res = max(res, float(np.max(-slack.clip(max=0.0), initial=0.0)))
-        res = max(res, _complementarity(sol.duals_in, slack, size))
-        res = max(res, float(np.max(-sol.duals_in, initial=0.0)))
-    if qp.lo is not None:
-        gap = x - qp.lo
-        fin = np.isfinite(qp.lo)
-        if fin.any():
-            res = max(res, float(np.max(-gap[fin].clip(max=0.0), initial=0.0)))
-            size = np.abs(x[fin]) + np.abs(qp.lo[fin])
-            res = max(res, _complementarity(sol.duals_lo[fin], gap[fin], size))
-    if qp.hi is not None:
-        gap = qp.hi - x
-        fin = np.isfinite(qp.hi)
-        if fin.any():
-            res = max(res, float(np.max(-gap[fin].clip(max=0.0), initial=0.0)))
-            size = np.abs(x[fin]) + np.abs(qp.hi[fin])
-            res = max(res, _complementarity(sol.duals_hi[fin], gap[fin], size))
-    return res
+    # the inequality rows and the finite bounds in one pass, each as lhs <= rhs
+    rows = _Rows(qp)
+    ax, b_in = (qp.A_in @ x, qp.b_in) if rows.n_in else (x[:0], x[:0])
+    lhs = np.concatenate([ax, -x[rows.lo_idx], x[rows.hi_idx]])
+    rhs = np.concatenate([b_in, -rows.lo, rows.hi])
+    dual = np.concatenate([sol.duals_in, sol.duals_lo[rows.lo_idx], sol.duals_hi[rows.hi_idx]])
+    slack = rhs - lhs
+    res = max(res, float(np.max(-slack.clip(max=0.0), initial=0.0)))
+    res = max(res, _complementarity(dual, slack, np.abs(lhs) + np.abs(rhs)))
+    return max(res, float(np.max(-sol.duals_in, initial=0.0)))
 
 
 def _complementarity(dual, slack, size):

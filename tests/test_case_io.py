@@ -169,6 +169,44 @@ def test_missing_field_is_named(tmp_path):
         parse_case_dict(doc)
 
 
+def _set(doc, path, value):
+    """Set doc[path[0]][path[1]]... to value; return the value it held."""
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    old, doc[last] = doc[last], value
+    return old
+
+
+@pytest.mark.parametrize("path", [
+    ("buses", 1, "d"), ("generators", 0, "pmax"), ("lines", 1, "beta"),
+    ("chance", "eps_line_default"), ("chance", "overrides", 0, "eps_gen"),
+])
+def test_float_field_beyond_float_range_is_parse_error(path):
+    doc = small_doc()
+    doc["chance"] = {"eps_line_default": 0.05, "overrides": [{"gen": 0, "eps_gen": 0.2}]}
+    _set(doc, path, 10**400)  # float() raises OverflowError
+    with pytest.raises(ParseError, match=path[-1]):
+        parse_case_dict(doc)
+
+
+@pytest.mark.parametrize("path, field", [
+    (("buses", 0, "id"), "id"), (("generators", 1, "bus"), "bus"),
+    (("lines", 0, "from"), "from"), (("lines", 0, "to"), "to"), (("slack_bus",), "slack_bus"),
+    (("chance", "overrides", 0, "gen"), "gen"), (("chance", "overrides", 1, "from"), "from"),
+    (("chance", "overrides", 1, "to"), "to"),
+])
+def test_integer_field_with_fraction_is_parse_error(path, field):
+    doc = small_doc()
+    doc["chance"] = {"overrides": [{"gen": 0, "eps_gen": 0.2},
+                                   {"from": 1, "to": 2, "eps_line": 0.01}]}
+    whole = _set(doc, path, 1.7)  # read as 1 by int(), which truncates
+    with pytest.raises(ParseError, match=f"'{field}'"):
+        parse_case_dict(doc)
+    _set(doc, path, float(whole))  # a whole number written as a float still reads
+    parse_case_dict(doc)
+
+
 def test_bad_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema_version": "1",\n  "buses": [}\n')

@@ -224,6 +224,22 @@ def test_risk_nonlinear_variant(tmp_path, capsys):
     assert doc["energy"] == pytest.approx(json.loads(base)["energy"], rel=1e-6)
 
 
+def test_risk_nonlinear_nan_instanton_exits_3(tmp_path, capsys, monkeypatch):
+    import scipy.optimize
+
+    def nan_minimize(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=np.full_like(x0, np.nan), message="forced NaN")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", nan_minimize)
+    case = write_case(tmp_path, tree_doc())
+    code, out = run(
+        capsys,
+        ["risk", "--case", case, "--line", "1,2", "--threshold", "0.9",
+         "--eps", "0.01", "--nonlinear"],
+    )
+    assert code == 3 and out == ""
+
+
 def test_barrier_flags_capped_recovery(capsys):
     # on this 20-bus mesh the barrier optimum's sine flow pins at a cap
     code, out = run(

@@ -199,3 +199,16 @@ def test_nonlinear_enforces_residual():
     disp = Dispatch(p=np.array([1.0]), alpha=np.array([1.0]))
     with pytest.raises(NoConvergenceError):
         nonlinear_instanton(net, disp, 0, 0.9, max_iter=1)
+
+
+def test_nonlinear_nan_optimum_is_not_converged(monkeypatch):
+    # NaN compares false with any tolerance, so a test of residual > tol lets it through
+    import scipy.optimize
+
+    def nan_minimize(fun, x0, **kwargs):
+        return scipy.optimize.OptimizeResult(x=np.full_like(x0, np.nan), message="forced NaN")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", nan_minimize)
+    disp = Dispatch(p=np.array([1.0]), alpha=np.array([1.0]))
+    with pytest.raises(NoConvergenceError, match="nan"):
+        nonlinear_instanton(stiff_triangle(), disp, 0, 0.5)
