@@ -20,15 +20,16 @@ import json
 import logging
 import os
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .case_io import (
-    GeneratorReport,
-    LineReport,
     SolutionReport,
+    generator_rows,
+    line_rows,
     parse_case,
     read_report,
     write_json,
@@ -142,15 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(args, chance_overrides=True):
+def _load(args):
+    """The case and its budgets, with the --eps-* overrides applied."""
     net, chance = parse_case(args.case)
-    if chance_overrides:
-        chance = chance.replace_defaults(
-            eps_line=getattr(args, "eps_line", None),
-            eps_sync=getattr(args, "eps_sync", None),
-            eps_gen=getattr(args, "eps_gen", None),
-        )
-    return net, chance
+    return net, chance.replace_defaults(args.eps_line, args.eps_sync, args.eps_gen)
 
 
 def _emit(args, payload: bytes) -> None:
@@ -160,9 +156,8 @@ def _emit(args, payload: bytes) -> None:
         sys.stdout.write(payload.decode())
 
 
-def _report_from_dispatch(net, variant, dispatch, mean_flow,
-                          binding_t=None, binding_s=None, iterations=(),
-                          status="optimal", objective=0.0):
+def _report_from_dispatch(net, variant, status, objective, dispatch, mean_flow,
+                          binding_t, binding_s, iterations):
     sens = net.gap_sensitivity
     mean, spread = sens.mean(dispatch), sens.spread(dispatch)
     prob_t = analytic_violation_prob(mean, spread, net.pbar / net.beta)
@@ -171,66 +166,42 @@ def _report_from_dispatch(net, variant, dispatch, mean_flow,
     prob_g = generator_violation_prob(
         dispatch.p, dispatch.alpha, net.pmin, net.pmax, sigma_tot
     )
-    no_binding = [False] * net.n_line
-    columns = zip(
-        net.lines, np.asarray(mean_flow, dtype=float).tolist(), prob_t.tolist(), prob_s.tolist(),
-        no_binding if binding_t is None else np.asarray(binding_t, dtype=bool).tolist(),
-        no_binding if binding_s is None else np.asarray(binding_s, dtype=bool).tolist(),
-    )
-    lines = [LineReport(k, ln.from_bus, ln.to_bus, flow, p_t, p_s, b_t, b_s)
-             for k, (ln, flow, p_t, p_s, b_t, b_s) in enumerate(columns)]
-    gens = [
-        GeneratorReport(gen=i, bus=gen.bus, prob_bounds=float(prob_g[i]))
-        for i, gen in enumerate(net.generators)
-    ]
-    return SolutionReport(
-        variant=variant,
-        status=status,
-        objective=float(objective),
-        p=[float(v) for v in dispatch.p],
-        alpha=[float(v) for v in dispatch.alpha],
-        lines=lines,
-        generators=gens,
-        iterations=list(iterations),
-    )
+    lines = line_rows((
+        range(net.n_line), map(attrgetter("from_bus"), net.lines), map(attrgetter("to_bus"), net.lines),
+        np.asarray(mean_flow, dtype=float).tolist(), prob_t.tolist(), prob_s.tolist(),
+        np.asarray(binding_t, dtype=bool).tolist(), np.asarray(binding_s, dtype=bool).tolist(),
+    ))
+    gens = generator_rows((
+        range(net.n_gen), map(attrgetter("bus"), net.generators), prob_g.tolist(),
+    ))
+    return SolutionReport(variant=variant, status=status, objective=float(objective),
+                          p=dispatch.p.tolist(), alpha=dispatch.alpha.tolist(),
+                          lines=lines, generators=gens, iterations=list(iterations))
 
 
 def cmd_solve(args) -> int:
     net, chance = _load(args)
+    recovered, iterations = True, []
+    binding_t = binding_s = np.zeros(net.n_line, dtype=bool)
     if args.variant == "dc":
         res = solve_dc_opf(net)
-        report = _report_from_dispatch(
-            net, "dc", res.dispatch, res.flows, objective=res.objective
-        )
+        flows, objective = res.flows, res.objective
     elif args.variant == "scopf":
         res = solve_scopf(net)
-        status = "optimal" if res.sync_recovered else "sync-recovery-failed"
-        report = _report_from_dispatch(
-            net, "scopf", res.dispatch, res.flows,
-            status=status, objective=res.objective,
-        )
+        flows, objective, recovered = res.flows, res.objective, res.sync_recovered
     elif args.variant == "barrier":
-        cfg = barrier_config_from_dc(net, epsilon=args.epsilon)
-        res = solve_barrier_opf(net, cfg)
-        status = "optimal" if res.recovery.feasible else "sync-recovery-failed"
-        report = _report_from_dispatch(
-            net, "barrier", res.dispatch, net.beta * res.rho,
-            status=status, objective=res.cost,
-        )
+        res = solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=args.epsilon))
+        flows, objective, recovered = net.beta * res.rho, res.cost, res.recovery.feasible
     else:
-        sol = solve_cc_opf(
-            net, chance,
-            tol_cut=args.tol_cut,
-            max_iter=args.max_iters,
-            add_all_violated=args.add_all_cuts,
-        )
-        report = _report_from_dispatch(
-            net, "ccopf", sol.dispatch, sol.mean_flow,
-            binding_t=sol.binding_thermal, binding_s=sol.binding_sync,
-            iterations=sol.iteration_log, objective=sol.objective,
-        )
+        res = solve_cc_opf(net, chance, tol_cut=args.tol_cut, max_iter=args.max_iters,
+                           add_all_violated=args.add_all_cuts)
+        flows, objective = res.mean_flow, res.objective
+        binding_t, binding_s, iterations = res.binding_thermal, res.binding_sync, res.iteration_log
         if args.emit_plot_data:
-            _write_plot_data(args.emit_plot_data, sol)
+            _write_plot_data(args.emit_plot_data, res)
+    status = "optimal" if recovered else "sync-recovery-failed"
+    report = _report_from_dispatch(net, args.variant, status, objective, res.dispatch, flows,
+                                   binding_t, binding_s, iterations)
     _emit(args, write_report(report, args.format))
     return EXIT_OK
 
@@ -247,27 +218,35 @@ def _write_plot_data(path, sol) -> None:
     Path(path).write_text("\n".join(rows) + "\n")
 
 
+def _read_dispatch(net, path) -> Dispatch:
+    """The dispatch of the report file at path, sized to net's generators."""
+    rep = read_report(Path(path))
+    if len(rep.p) != net.n_gen:
+        raise ParseError(f"dispatch has {len(rep.p)} generators, network has {net.n_gen}")
+    return Dispatch(p=rep.p, alpha=rep.alpha)
+
+
 def _injections_from_args(net, args) -> np.ndarray:
     if args.dispatch:
-        rep = read_report(Path(args.dispatch))
-        return injection_vector(
-            net, Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
-        )
+        return injection_vector(net, _read_dispatch(net, args.dispatch))
     spec = args.injections
-    if spec.startswith("@"):
-        values = json.loads(Path(spec[1:]).read_text())
-    else:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-    arr = np.asarray(values, dtype=float)
+    try:
+        if spec.startswith("@"):
+            values = json.loads(Path(spec[1:]).read_text())
+        else:
+            values = [tok for tok in spec.split(",") if tok.strip()]
+        arr = np.array([float(v) for v in values])
+    except (OSError, TypeError, ValueError) as exc:
+        raise ParseError(f"--injections {spec}: {exc}") from exc
     if arr.shape != (net.n_bus,):
-        raise ParseError(
-            f"expected {net.n_bus} injections, got {arr.shape[0]}"
-        )
+        raise ParseError(f"expected {net.n_bus} injections, got {arr.shape[0]}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"--injections {spec}: a value is not finite")
     return arr
 
 
 def cmd_pf(args) -> int:
-    net, _ = _load(args, chance_overrides=False)
+    net, _ = parse_case(args.case)
     q = _injections_from_args(net, args)
     state = solve_pf(net, q, max_iter=args.max_iters)
     doc = {
@@ -285,8 +264,7 @@ def cmd_pf(args) -> int:
 
 def cmd_validate(args) -> int:
     net, chance = _load(args)
-    rep = read_report(Path(args.dispatch))
-    dispatch = Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
+    dispatch = _read_dispatch(net, args.dispatch)
     mc = run_mc(
         net, dispatch, n_samples=args.samples, seed=args.seed,
         nonlinear=True if args.nonlinear_mc else None,
@@ -298,15 +276,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_risk(args) -> int:
-    net, _ = _load(args, chance_overrides=False)
+    net, _ = parse_case(args.case)
     try:
         frm, to = (int(tok) for tok in args.line.split(","))
     except ValueError:
         raise ParseError(f"--line expects FROM,TO bus ids, got {args.line!r}")
     line = net.line_between(frm, to)
     if args.dispatch:
-        rep = read_report(Path(args.dispatch))
-        dispatch = Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
+        dispatch = _read_dispatch(net, args.dispatch)
     else:
         dispatch = solve_dc_opf(net).dispatch
     if args.nonlinear:
@@ -342,9 +319,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -360,7 +360,7 @@ class Network:
         for k, (a, b) in enumerate(zip(self.from_index.tolist(), self.to_index.tolist())):
             adj[a].append((b, k))
             adj[b].append((a, k))
-        seen = np.zeros(self.n_bus, dtype=bool)
+        seen = [False] * self.n_bus
         seen[self.slack_index] = True
         order, arcs = [self.slack_index], []
         for v in order:  # order grows while it is walked: a FIFO queue
@@ -369,8 +369,8 @@ class Network:
                     seen[w] = True
                     order.append(w)
                     arcs.append(k)
-        if not seen.all():
-            missing = [self.buses[i].id for i in np.flatnonzero(~seen)]
+        if not all(seen):
+            missing = [bus.id for bus, reached in zip(self.buses, seen) if not reached]
             raise DisconnectedGraphError(
                 f"buses unreachable from slack bus {self.slack_bus}: {missing}"
             )

@@ -239,12 +239,12 @@ def _binding_one_sided_in_ci(report_path, mc_doc, eps_line, eps_sync, n):
     checked = 0
     for k, lr in enumerate(rep.lines):
         for flag, eps, pos, neg in (
-            (lr.binding_thermal, eps_line, "thermal_pos", "thermal_neg"),
-            (lr.binding_sync, eps_sync, "sync_pos", "sync_neg"),
+            (lr["binding_thermal"], eps_line, "thermal_pos", "thermal_neg"),
+            (lr["binding_sync"], eps_sync, "sync_pos", "sync_neg"),
         ):
             if not flag:
                 continue
-            freq = mc_doc[pos][k] if lr.mean_flow >= 0 else mc_doc[neg][k]
+            freq = mc_doc[pos][k] if lr["mean_flow"] >= 0 else mc_doc[neg][k]
             half = Z99 * math.sqrt(eps * (1.0 - eps) / n)
             assert abs(freq - eps) <= half, (k, freq, eps, half)
             checked += 1

@@ -18,9 +18,9 @@ from syncopf import (
     write_report,
 )
 from syncopf.case_io import (
-    GeneratorReport,
+    GENERATOR_FIELDS,
+    LINE_FIELDS,
     IterationRecord,
-    LineReport,
     parse_case_dict,
     read_flow_table,
     report_from_dict,
@@ -48,6 +48,16 @@ def small_doc():
     }
 
 
+def line_row(line, frm, to, mean_flow, prob_thermal, prob_sync,
+             binding_thermal=False, binding_sync=False):
+    return dict(zip(LINE_FIELDS, (line, frm, to, mean_flow, prob_thermal, prob_sync,
+                                  binding_thermal, binding_sync)))
+
+
+def gen_row(gen, bus, prob_bounds):
+    return dict(zip(GENERATOR_FIELDS, (gen, bus, prob_bounds)))
+
+
 def sample_report():
     return SolutionReport(
         variant="ccopf",
@@ -56,10 +66,10 @@ def sample_report():
         p=[0.6, 0.2],
         alpha=[0.75, 0.25],
         lines=[
-            LineReport(0, 1, 2, 0.41, 0.012, 0.0001, binding_thermal=True),
-            LineReport(1, 2, 3, -0.1, 0.0, 0.0),
+            line_row(0, 1, 2, 0.41, 0.012, 0.0001, binding_thermal=True),
+            line_row(1, 2, 3, -0.1, 0.0, 0.0),
         ],
-        generators=[GeneratorReport(0, 1, 0.003), GeneratorReport(1, 3, 0.0)],
+        generators=[gen_row(0, 1, 0.003), gen_row(1, 3, 0.0)],
         iterations=[
             IterationRecord(1, 0, "thermal", 0.02),
             IterationRecord(2, 0, "sync", 0.001),
@@ -231,7 +241,7 @@ def test_report_json_round_trip():
     back = read_report(write_report(rep, fmt="json"))
     assert back.variant == rep.variant and back.status == rep.status
     assert back.objective == pytest.approx(rep.objective, rel=1e-11)
-    assert back.lines[0].binding_thermal and not back.lines[1].binding_thermal
+    assert back.lines[0]["binding_thermal"] and not back.lines[1]["binding_thermal"]
     assert [it.kind for it in back.iterations] == ["thermal", "sync"]
     assert back.p == pytest.approx(rep.p)
 
@@ -285,7 +295,7 @@ def test_report_validation():
             objective=0.0,
             p=[1.0],
             alpha=[1.0],
-            lines=[LineReport(0, 1, 2, 0.1, 1.5, 0.0)],
+            lines=[line_row(0, 1, 2, 0.1, 1.5, 0.0)],
             generators=[],
         )
     with pytest.raises(ValidationError, match="increasing"):

@@ -125,7 +125,7 @@ def test_validate_rejects_dispatch_without_wind_response(tmp_path, capsys):
 
 def _report_for(case, p, alpha=1.0):
     # minimal hand-built report carrying only the dispatch fields
-    from syncopf.case_io import GeneratorReport, LineReport, SolutionReport
+    from syncopf.case_io import GENERATOR_FIELDS, LINE_FIELDS, SolutionReport
 
     return SolutionReport(
         variant="ccopf",
@@ -133,9 +133,82 @@ def _report_for(case, p, alpha=1.0):
         objective=0.0,
         p=[p],
         alpha=[alpha],
-        lines=[LineReport(0, 1, 2, p, 0.0, 0.0)],
-        generators=[GeneratorReport(0, 1, 0.0)],
+        lines=[dict(zip(LINE_FIELDS, (0, 1, 2, p, 0.0, 0.0, False, False)))],
+        generators=[dict(zip(GENERATOR_FIELDS, (0, 1, 0.0)))],
     )
+
+
+def _case9_report(tmp_path, edit):
+    # the golden case9 CC-OPF report, changed by edit(doc) and written back
+    doc = json.loads((DATA / "ccopf_case9_wind.json").read_text())
+    doc = edit(doc) or doc
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set_field(*path, value):
+    # an edit that sets the field at path, a chain of keys and indices
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+DISPATCH_COMMANDS = {
+    "pf": ["pf"],
+    "validate": ["validate", "--samples", "200"],
+    "risk": ["risk", "--line", "4,5", "--threshold", "0.5", "--eps", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", DISPATCH_COMMANDS)
+@pytest.mark.parametrize("key, value", [("p", float("nan")), ("alpha", float("inf")),
+                                        ("p", float("-inf"))], ids=["p-nan", "alpha-inf", "p-neginf"])
+def test_non_finite_dispatch_is_parse_failure(tmp_path, capsys, command, key, value):
+    # a NaN dispatch fails every nonlinear solve and trips no linear limit,
+    # so validate would certify it; it is refused as it is read
+    report = _case9_report(tmp_path, _set_field("dispatch", key, 0, value=value))
+    code = main([*DISPATCH_COMMANDS[command], "--case", "cases/case9_wind.json",
+                 "--dispatch", report])
+    out, err = capsys.readouterr()
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"error: report: dispatch: field '{key}': a value is not finite\n"
+
+
+def test_dispatch_sized_against_network_once(tmp_path, capsys):
+    def drop_last_generator(doc):
+        for key in ("p", "alpha"):
+            del doc["dispatch"][key][-1]
+
+    report = _case9_report(tmp_path, drop_last_generator)
+    for argv in DISPATCH_COMMANDS.values():
+        code = main([*argv, "--case", "cases/case9_wind.json", "--dispatch", report])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err == "error: dispatch has 2 generators, network has 3\n", argv
+
+
+@pytest.mark.parametrize("edit, argv, named", [
+    (_set_field("dispatch", "p", value=["abc"]), ["validate"], "dispatch: field 'p'"),
+    (_set_field("dispatch", "p", value=None), ["validate"], "dispatch: field 'p'"),
+    (_set_field("lines", value=5), ["risk", "--line", "4,5", "--threshold", "0.5", "--eps", "0.01"],
+     "lines"),
+    (lambda doc: [doc], ["pf"], "top level"),
+    (None, ["validate", "--dispatch", "nowhere.json"], "nowhere.json"),
+    (None, ["pf", "--injections", "a,b"], "a,b"),
+    (None, ["pf", "--injections", "nan,0,0,0,0,0,0,0,0"], "not finite"),
+    (None, ["pf", "--injections", "@nowhere.json"], "nowhere.json"),
+], ids=["p-text", "p-null", "lines-int", "top-level-list", "missing-report",
+        "injections-text", "injections-nan", "missing-injections-file"])
+def test_malformed_input_is_parse_failure(tmp_path, capsys, edit, argv, named):
+    if edit is not None:
+        argv = [*argv, "--dispatch", _case9_report(tmp_path, edit)]
+    code = main([*argv, "--case", "cases/case9_wind.json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and named in err
 
 
 def test_pf_inline_injections(tmp_path, capsys):
@@ -172,7 +245,7 @@ def test_pf_matches_report_flows_on_tree(tmp_path, capsys):
     rep = read_report(rep_path)
     flows = json.loads(out)["flows"]
     for lr, f in zip(rep.lines, flows):
-        assert f == pytest.approx(lr.mean_flow, abs=1e-8)
+        assert f == pytest.approx(lr["mean_flow"], abs=1e-8)
 
 
 def test_pf_at_golden_alternation_dispatch_converges(capsys):
@@ -283,6 +356,22 @@ def test_ccopf_report_matches_golden(case, golden, capsys):
 ], ids=["alternation", "mesh100"])
 def test_ccopf_report_matches_golden_bytes(case, golden, capsys):
     code, out = run(capsys, ["solve", "ccopf", "--case", case])
+    assert code == 0
+    assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["solve", "ccopf", "--case", "cases/case9_wind.json", "--format", "csv"],
+     "ccopf_case9_wind.csv"),
+    (["solve", "ccopf", "--case", str(DATA / "mesh100.json"), "--format", "csv"],
+     "ccopf_mesh100.csv"),
+    (["pf", "--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json")],
+     "pf_case9_wind.json"),
+    (["risk", "--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json"),
+      "--line", "4,5", "--threshold", "0.5", "--eps", "0.01"], "risk_case9_wind.json"),
+], ids=["ccopf-csv-case9", "ccopf-csv-mesh100", "pf-case9", "risk-case9"])
+def test_report_readers_and_csv_match_golden_bytes(argv, golden, capsys):
+    code, out = run(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
 
