@@ -119,16 +119,20 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
-def _whole(entry: dict, key: str) -> int:
-    """entry[key], which must be present, as an int; a number with a
-    fractional part is refused rather than truncated."""
-    value = entry[key]
+def _whole_value(value) -> int:
+    """value as an int; a number with a fractional part is refused rather
+    than truncated."""
     if type(value) is int:
         return value
     if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"field '{key}' must be a whole number, got {value!r}")
+        raise ValueError(f"must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _whole(entry: dict, key: str) -> int:
+    """entry[key], which must be present, as an int by _whole_value."""
     try:
-        return int(value)
+        return _whole_value(entry[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field '{key}': {exc}") from None
 
@@ -416,13 +420,36 @@ def write_json(doc) -> bytes:
 
 # --- solution reports -------------------------------------------------------
 
+def _each(kind):
+    """The column reader that converts every value with kind."""
+    return lambda column: list(map(kind, column))
+
+
+_floats, _strs = _each(float), _each(str)
+
+
+def _wholes(column: list) -> list:
+    """The column of ids or counts, each value read by _whole_value."""
+    if set(map(type, column)) <= {int}:  # as json.loads reads whole numbers
+        return column
+    return list(map(_whole_value, column))
+
+
+def _bools(column: list) -> list:
+    """The column, whose values must be JSON booleans."""
+    if not set(map(type, column)) <= {bool}:
+        wrong = next(v for v in column if type(v) is not bool)
+        raise ValueError(f"must be true or false, got {wrong!r}")
+    return column
+
+
 # The keys of a report's line and generator rows, in the order they are
-# written, and the type each field is read as.
+# written, and the reader of each field's column.
 LINE_FIELDS = ("line", "from", "to", "mean_flow", "prob_thermal", "prob_sync",
                "binding_thermal", "binding_sync")
-_LINE_KINDS = (int, int, int, float, float, float, bool, bool)
+_LINE_KINDS = (_wholes, _wholes, _wholes, _floats, _floats, _floats, _bools, _bools)
 GENERATOR_FIELDS = ("gen", "bus", "prob_bounds")
-_GENERATOR_KINDS = (int, int, float)
+_GENERATOR_KINDS = (_wholes, _wholes, _floats)
 
 
 def _row_builder(keys: tuple):
@@ -447,7 +474,7 @@ class IterationRecord:
 
 
 _ITERATION_FIELDS = tuple(f.name for f in fields(IterationRecord))
-_ITERATION_KINDS = (int, int, str, float)
+_ITERATION_KINDS = (_wholes, _wholes, _strs, _floats)
 
 
 @dataclass
@@ -500,15 +527,15 @@ def report_to_dict(report: SolutionReport) -> dict:
 
 
 def _columns(rows, name: str, keys: tuple, kinds: tuple) -> list[list]:
-    """kind(row[key]) for every row of the list rows, one list per key;
-    ValueError names the list and the field of a malformed row."""
+    """kind([row[key] for row in rows]) for every key and its column reader
+    kind; ValueError names the list and the field of a malformed row."""
     columns = []
     for key, kind in zip(keys, kinds):
         try:
-            columns.append(list(map(kind, map(itemgetter(key), rows))))
+            columns.append(kind(list(map(itemgetter(key), rows))))
         except KeyError:
             raise ValueError(f"{name}: missing field '{key}'") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{name}: field '{key}': {exc}") from exc
     return columns
 
@@ -528,7 +555,7 @@ def report_from_dict(doc) -> SolutionReport:
     try:
         # the dispatch is read as a table of one row, with p and alpha its fields
         (p,), (alpha,) = _columns([doc["dispatch"]], "dispatch", ("p", "alpha"),
-                                  (_finite_floats, _finite_floats))
+                                  (_each(_finite_floats),) * 2)
         lines = _columns(doc["lines"], "lines", LINE_FIELDS, _LINE_KINDS)
         gens = _columns(doc["generators"], "generators", GENERATOR_FIELDS, _GENERATOR_KINDS)
         iterations = _columns(doc.get("iterations", []), "iterations",

@@ -40,19 +40,22 @@ deviations, by bisection per generator (see _generator_tally).
 
 The nonlinear check re-solves the sine power flow of every sample
 (thermal cap off) with solve_pf_batch, in sub-batches of
-_BATCH_TARGET // (lines * chords) samples, so that a sub-batch's stacked
-chord products hold no more than _BATCH_TARGET doubles (2 MB) unless one
-sample alone needs more, as on a 1000-bus grid, which solves one sample
-at a time. A sub-batch also holds at most _BATCH_SAMPLES samples (10 on
-case9 and on a 100-bus mesh). That cap keeps a 1000-sample case9
-validation at about 40 ms rather than 10 ms: perfbench's worker corrects
-each command's time by host-probe samples taken every 25 ms and fails on
-a command that gets none. Each sample's solve depends on that sample
-alone, so the sub-batch size does not change the report. Boundary-pinned
-solutions count as synchrony loss attributed to the pinned lines, and
-solver failures (unbalanced injections included) are counted as sync
-loss but also reported separately. On trees the linear and nonlinear
-flows coincide, so thermal counts match sample for sample.
+S = _BATCH_TARGET // (lines * chords) samples. A sub-batch stacks S
+chord Hessians of chords^2 doubles each and S flow vectors of lines
+doubles each; there are fewer chords than lines, so both stacks stay
+under _BATCH_TARGET doubles (2 MB) unless one sample alone needs more.
+The formula is stricter than that: a 1000-bus grid (1500 lines, 501
+chords) solves one sample at a time. A sub-batch also holds at most
+_BATCH_SAMPLES samples (10 on case9 and on a 100-bus mesh). That cap
+keeps a 1000-sample case9 validation at about 40 ms rather than 10 ms:
+perfbench's worker corrects each command's time by host-probe samples
+taken every 25 ms and fails on a command that gets none. Each sample's
+solve depends on that sample alone, so the sub-batch size does not
+change the report. Boundary-pinned solutions count as synchrony loss
+attributed to the pinned lines, and solver failures (unbalanced
+injections included) are counted as sync loss but also reported
+separately. On trees the linear and nonlinear flows coincide, so
+thermal counts match sample for sample.
 """
 from __future__ import annotations
 
@@ -76,7 +79,7 @@ logger = logging.getLogger(__name__)
 Z99 = float(ndtri(0.995))  # two-sided 99% normal quantile
 NONLINEAR_DEFAULT_MAX = 10_000
 _CHUNK_TARGET = 10_000_000  # upper bound on per-chunk matrix entries
-_BATCH_TARGET = 1 << 18  # about S * lines * chords entries per nonlinear sub-batch
+_BATCH_TARGET = 1 << 18  # bounds S * lines * chords per nonlinear sub-batch
 _BATCH_SAMPLES = 10  # and at most this many samples; see the module docstring
 # the CPUs this process may run on: one sample range each (see the module docstring)
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -173,7 +176,7 @@ def run_mc(
     margin = np.minimum(cap_t, 1.0) - abs_mean
     if nonlinear:
         basis = net.spanning_tree
-        basis.tree_inverse  # built here, before any thread reads it
+        basis.tree_inverse, basis.hessian_map  # built here, before any thread reads them
         batch = max(1, min(_BATCH_SAMPLES, _BATCH_TARGET // max(m * basis.chords.size, 1)))
 
     chunk = max(1, min(n_samples, _CHUNK_TARGET // max(m, 1)))
@@ -218,11 +221,10 @@ def run_mc(
                     lost = np.count_nonzero(unbalanced)
                     events += (lost + np.count_nonzero(res.failed | hit),
                                lost + np.count_nonzero(res.failed))
-                    lines[5] += np.count_nonzero(
-                        np.abs(res.rho[hit]) >= 1.0 - 10.0 * MARGIN - 1e-12, axis=0)
+                    # bool sums: np.count_nonzero with an axis is slower by its wrapper
+                    lines[5] += (np.abs(res.rho[hit]) >= 1.0 - 10.0 * MARGIN - 1e-12).sum(axis=0)
                     interior = ~(res.boundary_hit | res.failed)
-                    lines[4] += np.count_nonzero(
-                        np.abs(net.beta * res.rho[interior]) > net.pbar, axis=0)
+                    lines[4] += (np.abs(net.beta * res.rho[interior]) > net.pbar).sum(axis=0)
         return lines, gens, events
 
     # buffers allocated on this thread: one that a pool thread allocates and

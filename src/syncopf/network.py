@@ -203,7 +203,12 @@ class SpanningTree:
     reduced incidence ``A[keep]``. ``T`` is invertible, so the flows that
     conserve ``q`` are exactly ``particular_flow(q) + chord_map @ y`` over
     chord flows ``y``: column c of ``chord_map`` is the tree-flow response
-    to a unit flow on chord c, with that unit in place.
+    to a unit flow on chord c, with that unit in place. ``chord_map`` is
+    dense but mostly zero on a mesh (row k is nonzero only on the chords
+    whose cycle runs through line k), so the chord Hessians
+    ``chord_map^T diag(w) chord_map`` are formed through the sparse
+    ``hessian_map`` (``chord_hessian``), one c x c matrix per row of a
+    stack of line weights.
     """
 
     tree: np.ndarray
@@ -217,6 +222,36 @@ class SpanningTree:
         """``T^-1``, so that a stack of injection vectors solves as stacked
         products, each row on its own."""
         return scipy.linalg.lu_solve(self.lu, np.eye(self.keep.size))
+
+    @cached_property
+    def hessian_map(self) -> scipy.sparse.csc_array:
+        """The (c^2) x m map from line weights ``w`` to the flattened chord
+        Hessian ``sum_k w_k K_k^T K_k`` (``K = chord_map``, c chords): column
+        k holds ``K[k, i] * K[k, j]`` at row ``i * c + j`` for every pair of
+        chords i, j on which row k of ``K`` is nonzero."""
+        m, c = self.chord_map.shape
+        lines, chords = np.nonzero(self.chord_map)  # by line, then by chord
+        values = self.chord_map[lines, chords]
+        per_line = np.bincount(lines, minlength=m)
+        start = np.cumsum(per_line) - per_line  # each line's first nonzero
+        # entry e of line k pairs with each of line k's nonzeros in turn
+        reps = per_line[lines]
+        first = np.repeat(np.arange(lines.size), reps)
+        second = np.arange(first.size) - np.repeat(np.cumsum(reps) - reps, reps)
+        second += np.repeat(start[lines], reps)
+        indptr = np.concatenate([[0], np.cumsum(per_line**2)])
+        return scipy.sparse.csc_array(
+            (values[first] * values[second], chords[first] * c + chords[second], indptr),
+            shape=(c * c, m),
+        )
+
+    def chord_hessian(self, w: np.ndarray) -> np.ndarray:
+        """``chord_map^T diag(w_s) chord_map`` for each row w_s of an (S, m)
+        stack of line weights, as an (S, c, c) stack. Each entry is summed
+        over the lines in one fixed order, so a row's Hessian depends on
+        that row alone, not on the stack's size."""
+        c = self.chords.size
+        return (self.hessian_map @ w.T).T.reshape(w.shape[0], c, c)
 
     def particular_flow(self, q: np.ndarray) -> np.ndarray:
         """The flow with ``A f = q`` that is zero on every chord, for each

@@ -318,6 +318,43 @@ def test_report_from_dict_missing_field():
         report_from_dict(doc)
 
 
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id="/".join(map(str, path)))
+    for path, value in [
+        (("lines", 0, "binding_thermal"), "false"),  # bool() reads any nonempty string as True
+        (("lines", 1, "binding_sync"), 0),
+        (("lines", 1, "line"), 1.7),  # int() truncates
+        (("lines", 0, "from"), 2.5),
+        (("generators", 1, "gen"), 0.5),
+        (("generators", 0, "bus"), 3.25),
+        (("iterations", 1, "iteration"), 2.5),
+        (("iterations", 0, "line"), 0.1),
+    ]
+])
+def test_report_field_of_wrong_kind_is_parse_error(path, value):
+    doc = report_to_dict(sample_report())
+    _set(doc, path, value)
+    with pytest.raises(ParseError, match=f"field '{path[-1]}'"):
+        report_from_dict(doc)
+
+
+def test_report_whole_numbers_written_as_floats_still_read():
+    doc = report_to_dict(sample_report())
+    for path in (("lines", 1, "line"), ("generators", 1, "bus"), ("iterations", 1, "iteration")):
+        whole = _set(doc, path, None)
+        _set(doc, path, float(whole))
+    back = report_from_dict(doc)
+    assert back.lines[1]["line"] == 1 and type(back.lines[1]["line"]) is int
+    assert type(back.generators[1]["bus"]) is int and back.iterations[1].iteration == 2
+
+
+def test_report_number_beyond_float_range_is_parse_error():
+    doc = report_to_dict(sample_report())
+    _set(doc, ("lines", 0, "mean_flow"), 10**400)  # float() raises OverflowError
+    with pytest.raises(ParseError, match="mean_flow"):
+        report_from_dict(doc)
+
+
 MATPOWER_FIXTURE = """\
 function mpc = case3
 mpc.version = '2';

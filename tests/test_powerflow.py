@@ -4,8 +4,9 @@ Covers: psi closed form against quadrature, 2-bus forced solutions,
 boundary (loss of synchrony) detection, oracle agreement with an
 independent Newton solve of the sine equations, conservation and
 angle-recovery invariants on random networks, tree exactness, Newton
-termination on random meshes, the cached spanning tree, and the batched
-solve against the single-sample one.
+termination on random meshes, the cached spanning tree, its sparse chord
+Hessian against the dense product, and the batched solve against the
+single-sample one.
 """
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from syncopf import (
     Bus, DomainError, Generator, Line, Network, NoConvergenceError, UnbalancedInjectionsError,
     parse_case, read_report,
 )
+from syncopf.case_io import parse_case_dict
 from syncopf.network import Dispatch, injection_vector
 from syncopf.powerflow import (
     energy_function_solve,
@@ -72,12 +74,12 @@ def random_net(rng, n, extra_frac=0.5, beta_range=(0.5, 3.0), pbar=50.0):
     return Network(buses, gens, lines)
 
 
-def ring_mesh(rng, n):
-    """A ring of n buses plus up to n/2 random chords, with thermal limits
-    at 0.3 to 1.2 of each line's susceptance."""
+def ring_mesh(rng, n, extra=None):
+    """A ring of n buses plus up to extra (by default n/2) random chords, with
+    thermal limits at 0.3 to 1.2 of each line's susceptance."""
     pairs = [(i, i % n + 1) for i in range(1, n + 1)]
     seen = {frozenset(pair) for pair in pairs}
-    for _ in range(n // 2):
+    for _ in range(n // 2 if extra is None else extra):
         a, b = (int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False))
         if frozenset((a, b)) not in seen:
             seen.add(frozenset((a, b)))
@@ -260,6 +262,70 @@ def test_cached_tree_matches_fresh_network():
         assert (got.objective, got.iterations, got.boundary_hit) == (
             want.objective, want.iterations, want.boundary_hit)
     assert net.spanning_tree is net.spanning_tree
+
+
+# --- the chord Hessian ---------------------------------------------------
+
+def ring_with_parallels(rng, n):
+    """A ring of n buses plus n/2 random lines, a third of them parallel to a
+    line already there, parsed so that parallel lines merge into one."""
+    pairs = [(i, i % n + 1) for i in range(1, n + 1)]
+    for _ in range(n // 2):
+        if rng.random() < 1 / 3:
+            pairs.append(pairs[int(rng.integers(len(pairs)))][::-1])
+        else:
+            pairs.append(tuple(int(x) for x in rng.choice(np.arange(1, n + 1), size=2, replace=False)))
+    doc = {
+        "schema_version": "1",
+        "buses": [{"id": i} for i in range(1, n + 1)],
+        "generators": [{"bus": 1, "pmin": 0.0, "pmax": 10.0}],
+        "lines": [{"from": a, "to": b, "beta": float(rng.uniform(0.5, 3.0)), "pbar": 5.0}
+                  for a, b in pairs],
+    }
+    net, _ = parse_case_dict(doc)
+    assert net.n_line < len(pairs)  # some lines were merged
+    return net
+
+
+def _hessian_nets():
+    rng = np.random.default_rng(31)
+    yield "case9", parse_case("cases/case9_wind.json")[0]
+    yield "alternation", parse_case("cases/alternation.json")[0]
+    yield "mesh100", parse_case(DATA / "mesh100.json")[0]
+    for k in range(6):
+        yield f"ring{k}", ring_with_parallels(rng, int(rng.integers(4, 41)))
+    yield "tree", random_net(rng, 12, extra_frac=0.0)
+
+
+@pytest.mark.parametrize("name, net", [pytest.param(*case, id=case[0]) for case in _hessian_nets()])
+def test_chord_hessian_matches_dense_product(name, net):
+    basis = net.spanning_tree
+    K = basis.chord_map
+    per_line = np.count_nonzero(K, axis=1)
+    assert basis.hessian_map.shape == (K.shape[1] ** 2, net.n_line)
+    assert basis.hessian_map.nnz == np.sum(per_line**2)
+    w = np.random.default_rng(5).uniform(0.1, 10.0, size=(7, net.n_line))
+    dense = K.T @ (w[:, :, None] * K)
+    np.testing.assert_allclose(basis.chord_hessian(w), dense, rtol=1e-14, atol=0.0)
+    if name == "tree":
+        assert K.shape[1] == 0 and basis.hessian_map.nnz == 0
+        q = np.array([balanced(np.random.default_rng(k), net.n_bus) for k in range(3)])
+        assert (solve_pf_batch(net, q).iterations == 0).all()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: parse_case(DATA / "mesh100.json")[0],
+    lambda: ring_mesh(np.random.default_rng(1000), 1000, extra=150),
+], ids=["mesh100", "ring1000"])
+def test_chord_hessian_rows_do_not_depend_on_stack_size(make):
+    # each row of a 40-row stack, bit for bit the Hessian of that row alone
+    net = make()
+    basis = net.spanning_tree
+    w = np.random.default_rng(8).uniform(0.1, 10.0, size=(40, net.n_line))
+    stacked = basis.chord_hessian(w)
+    for s in (0, 1, 17, 39):
+        assert np.array_equal(basis.chord_hessian(w[s:s + 1])[0], stacked[s])
+    assert np.array_equal(basis.chord_hessian(w[5:9]), stacked[5:9])
 
 
 # --- solve_pf_batch ------------------------------------------------------
