@@ -119,12 +119,19 @@ def _require(obj: dict, key: str, ctx: str):
     return obj[key]
 
 
+def _not_text(value):
+    """value, unless it is a string or a boolean: int() and float() read both."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return value
+
+
 def _whole_value(value) -> int:
-    """value as an int; a number with a fractional part is refused rather
-    than truncated."""
+    """value, a number, as an int; a number with a fractional part is
+    refused rather than truncated."""
     if type(value) is int:
         return value
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(_not_text(value), float) and not value.is_integer():
         raise ValueError(f"must be a whole number, got {value!r}")
     return int(value)
 
@@ -141,7 +148,7 @@ def _number(entry: dict, key: str, default: float | None = None) -> float:
     """entry[key] as a float; the key is required when default is None."""
     value = entry[key] if default is None else entry.get(key, default)
     try:
-        return float(value)
+        return value if type(value) is float else float(_not_text(value))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"field '{key}': {exc}") from None
 
@@ -425,7 +432,15 @@ def _each(kind):
     return lambda column: list(map(kind, column))
 
 
-_floats, _strs = _each(float), _each(str)
+_strs = _each(str)
+
+
+def _floats(column: list) -> list:
+    """The column of numbers as floats."""
+    if not set(map(type, column)) <= {float, int}:  # as json.loads reads numbers
+        for value in column:
+            _not_text(value)
+    return list(map(float, column))
 
 
 def _wholes(column: list) -> list:
@@ -541,7 +556,7 @@ def _columns(rows, name: str, keys: tuple, kinds: tuple) -> list[list]:
 
 
 def _finite_floats(values) -> list:
-    values = list(map(float, values))
+    values = _floats(values)
     if not all(map(math.isfinite, values)):
         raise ValueError("a value is not finite")
     return values

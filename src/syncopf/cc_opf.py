@@ -45,10 +45,10 @@ only the other lines; the reported violations, binding flags and mean
 flows come from one evaluation of every line at the optimum, and cut
 and iteration-log line ids are network line ids.
 
-The base rows and the initial tangents are assembled once (_CutRows);
-each iteration appends only the new cuts' rows, so its QP is the
-previous one with rows appended, and solve_qp resumes from the previous
-optimum instead of starting over.
+The loop builds one QP, with the base rows and the initial tangents,
+and each iteration appends only the new cuts' rows to it
+(_CutRows.rows, QuadraticProgram.add_rows), so that each solve_qp after
+the first resumes from the previous optimum instead of starting over.
 
 Generator limits are tightened by eta(eps_gen) times the total wind
 standard deviation, not scaled by alpha.
@@ -127,8 +127,10 @@ def violations(table: ConicTable, dispatch: Dispatch) -> np.ndarray:
     """Signed slacks, positive where violated, as line-major (thermal,
     sync) pairs: entry 2l is line l's thermal row, 2l + 1 its sync row."""
     gap, s = np.abs(table.mean(dispatch)), table.spread(dispatch)
-    thermal, sync = gap + table.eta_t * s - table.bound, gap + table.eta_s * s - 1.0
-    return np.column_stack([thermal, sync]).ravel()
+    out = np.empty(2 * gap.size)
+    out[0::2] = gap + table.eta_t * s - table.bound
+    out[1::2] = gap + table.eta_s * s - 1.0
+    return out
 
 
 def analytic_violation_prob(mean, spread, bound) -> np.ndarray:
@@ -237,42 +239,35 @@ class CcSolution:
 
 
 class _CutRows:
-    """The QP's inequality rows over (p, alpha): the base rows of the
-    given lines, then each added cut's rows in the order the cuts were
-    added.
+    """The QP's inequality rows over (p, alpha): base(), the rows of the
+    given lines, and rows(cuts), the rows of added cuts.
 
     Base rows are the zero tangent S >= 0:  +-mean <= min(bound_t, 1).
     Each cut contributes +-mean + eta * tangent(alpha) <= bound for
     every kind with eta > 0 (eta = 0 rows duplicate the base), the
     thermal kind first; a line whose two kinds share eta gets one pair
     of rows against the smaller bound.
-
-    The rows live in one buffer with spare capacity, so adding cuts
-    writes only their rows, and view() returns the rows so far without
-    a copy: each QP of the loop sees the rows of the one before as its
-    leading rows, in the same memory.
     """
 
     def __init__(self, table: ConicTable, lines: np.ndarray):
-        self.table = table
-        dmat, off = table.gen[lines], table.offset[lines]
-        k, g = dmat.shape
+        self.table, self.lines = table, lines
         cap = np.minimum(table.bound, 1.0)
         same = np.abs(table.eta_t - table.eta_s) < 1e-15
         self._eta = np.column_stack([table.eta_t, np.where(same, 0.0, table.eta_s)])
         self._bound = np.column_stack([np.where(same, cap, table.bound), np.ones(cap.size)])
-        self._a = np.zeros((2 * k, 2 * g))
-        self._a[:k, :g] = dmat
-        self._a[k:, :g] = -dmat
-        self._b = np.concatenate([cap[lines] - off, cap[lines] + off])
-        self.size = 2 * k
 
-    def view(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows so far as (A_in, b_in), views of the buffer."""
-        return self._a[: self.size], self._b[: self.size]
+    def base(self) -> tuple[np.ndarray, np.ndarray]:
+        """The base rows as (a, b)."""
+        dmat, off = self.table.gen[self.lines], self.table.offset[self.lines]
+        k, g = dmat.shape
+        cap = np.minimum(self.table.bound[self.lines], 1.0)
+        a = np.zeros((2 * k, 2 * g))
+        a[:k, :g] = dmat
+        a[k:, :g] = -dmat
+        return a, np.concatenate([cap - off, cap + off])
 
-    def add(self, cuts: np.ndarray) -> None:
-        """Append the rows of cuts, a CUT_DTYPE array."""
+    def rows(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of cuts, a CUT_DTYPE array, as (a, b), in cut order."""
         dmat, off = self.table.gen, self.table.offset
         g = dmat.shape[1]
         lines, grad = cuts["line"], cuts["grad"]
@@ -281,18 +276,13 @@ class _CutRows:
         k = lines[cut_idx]
         eta_k = self._eta[k, kind]
         rhs = self._bound[k, kind] - eta_k * intercept[cut_idx]
-        end = self.size + 2 * k.size
-        if end > self._b.size:
-            spare = end // 4 + end - self.size
-            self._a = np.concatenate([self._a[: self.size], np.zeros((spare, 2 * g))])
-            self._b = np.concatenate([self._b[: self.size], np.zeros(spare)])
-        a, b = self._a[self.size : end], self._b[self.size : end]
+        a, b = np.zeros((2 * k.size, 2 * g)), np.empty(2 * k.size)
         a[0::2, :g] = dmat[k]
         a[1::2, :g] = -dmat[k]
         a[0::2, g:] = a[1::2, g:] = (eta_k * grad[cut_idx])[:, None] * dmat[k]
         b[0::2] = rhs - off[k]
         b[1::2] = rhs + off[k]
-        self.size = end
+        return a, b
 
 
 def solve_cc_opf(
@@ -346,22 +336,20 @@ def solve_cc_opf(
     hi = np.concatenate([hi_p, np.full(g, np.inf)])
     c3_total = float(np.sum(net.cost_const))
 
-    Q = np.diag(quad)
     kept = _bindable_lines(table, lo_p, hi_p, total)
     watched = table.subset(kept)  # entry l of its violations is line kept[l // 2]'s
     cuts = [_tangents(table, kept, np.zeros(kept.size), 0)]
-    rows = _CutRows(table, kept)
-    rows.add(cuts[0])
+    cut_rows = _CutRows(table, kept)
+    qp = QuadraticProgram(Q=np.diag(quad), c=lin, A_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi)
+    qp.add_rows(*cut_rows.base())
+    qp.add_rows(*cut_rows.rows(cuts[0]))
     log: list[IterationRecord] = []
     trace: list[float] = []
     violated_counts: list[int] = []
-    sol = None
 
     for it in range(1, max_iter + 1):
-        a_in, b_in = rows.view()
-        qp = QuadraticProgram(Q=Q, c=lin, A_eq=a_eq, b_eq=b_eq, A_in=a_in, b_in=b_in, lo=lo, hi=hi)
-        # each QP is the previous one with the new cuts' rows appended
-        sol = solve_qp(qp, warm=sol)
+        # after the first, each solve resumes from the last one's optimum
+        sol = solve_qp(qp)
         if sol.status == INFEASIBLE:
             raise InfeasibleError("chance-constrained QP relaxation is infeasible")
         if sol.status == ITER_LIMIT:
@@ -369,9 +357,9 @@ def solve_cc_opf(
         dispatch = Dispatch(p=sol.x[:g], alpha=sol.x[g:])
         viol = violations(watched, dispatch)
         trace.append(sol.objective + c3_total)
-        violated_counts.append(int(np.sum(viol > tol_cut)))
+        violated_counts.append(int(np.count_nonzero(viol > tol_cut)))
 
-        if np.max(viol, initial=-np.inf) <= tol_cut:
+        if viol.max(initial=-np.inf) <= tol_cut:
             viol = violations(table, dispatch)
             return CcSolution(
                 dispatch=dispatch,
@@ -389,7 +377,7 @@ def solve_cc_opf(
                 mean_flow=net.beta * table.mean(dispatch),
             )
 
-        worst = int(np.argmax(viol))
+        worst = int(viol.argmax())
         line, kind = int(kept[worst // 2]), _KINDS[worst % 2]
         log.append(
             IterationRecord(iteration=it, line=line, kind=kind, violation=float(viol[worst]))
@@ -400,7 +388,7 @@ def solve_cc_opf(
             lines = np.array([line])
         new = _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
         cuts.append(new)
-        rows.add(new)
+        qp.add_rows(*cut_rows.rows(new))
         logger.info(
             "cut iteration %d: line %d %s violation %.3e (%d violated)",
             it,

@@ -30,14 +30,17 @@ roundoff over the adds and drops, and an active bound can end a few ulps
 outside its limit: without the polish, case9's DC-OPF leaves a generator
 one ulp above pmax, and its reported prob_bounds reads 1 instead of 0.
 
-A solve can resume from an earlier Optimal solution of the same QP with
-inequality rows appended (solve_qp(qp, warm=previous)), keeping its J,
-R, unpolished x, active rows, multipliers and equality sign flips.
-Appended rows leave that state dual feasible: x still minimizes the
-objective on the active rows and the multipliers stay nonnegative, so
-the most-violated-row loop just continues, and at first only the new
-rows can be violated beyond TOL_FEAS.  A cold solve is the same loop
-started from an empty working set.
+A QP grows by appending inequality rows (QuadraticProgram.add_rows),
+and a solve after rows were appended resumes from where the QP's last
+Optimal solve ended: its J, R, unpolished x, active rows, multipliers
+and equality sign flips, used in place, with the active bound rows
+renumbered past the new rows.  Appended rows leave that state dual
+feasible: x still minimizes the objective on the active rows and the
+multipliers stay nonnegative, so the most-violated-row loop just
+continues, and at first only the new rows can be violated beyond
+TOL_FEAS.  A cold solve is the same loop started from an empty working
+set; it is taken by a QP's first solve, after a solve that ended other
+than Optimal, and when no row was appended since the last solve.
 
 Sources: D. Goldfarb and A. Idnani, "A numerically stable dual method
 for solving strictly convex quadratic programs", Math. Programming 27
@@ -55,6 +58,8 @@ min x^2 + y^2 s.t. x + y = 1 the equality dual is 1.
 from __future__ import annotations
 
 import logging
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,12 +72,17 @@ logger = logging.getLogger(__name__)
 _REG = 1e-10
 TOL_FEAS = 1e-8  # largest violation of an inequality row left at the end
 TOL_KKT = 1e-8  # KKT residual above 100 * TOL_KKT is logged as a warning
+_EPS = np.finfo(float).eps
 _STEPS_PER_ROW = 10  # step cap: this many per variable and constraint row
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadraticProgram:
-    """Problem data. Missing constraint blocks may be left as None."""
+    """Problem data. Missing constraint blocks may be left as None.
+
+    The QP holds read-only copies of its blocks. add_rows appends
+    inequality rows, the one change it takes after construction.
+    """
 
     Q: np.ndarray
     c: np.ndarray
@@ -82,54 +92,63 @@ class QuadraticProgram:
     b_in: np.ndarray | None = None
     lo: np.ndarray | None = None
     hi: np.ndarray | None = None
+    _rows: _Rows = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
-        self.c = _vector(self.c)
-        n = self.c.size
-        if self.Q.shape != (n, n):
-            raise ValueError(f"Q shape {self.Q.shape} inconsistent with c length {n}")
+        Q, c = np.atleast_2d(np.array(self.Q, dtype=float)), _vector(self.c)
+        n, blocks = c.size, {"Q": Q, "c": c}
+        if Q.shape != (n, n):
+            raise ValueError(f"Q shape {Q.shape} inconsistent with c length {n}")
         # the exact test settles the usual, exactly symmetric Q at a tenth of the cost
-        if not (np.array_equal(self.Q, self.Q.T) or np.allclose(self.Q, self.Q.T, atol=1e-10)):
+        if not (np.array_equal(Q, Q.T) or np.allclose(Q, Q.T, atol=1e-10)):
             raise ValueError("Q must be symmetric")
-        for name in ("A_eq", "A_in"):
-            a = getattr(self, name)
+        for a_name, b_name in (("A_eq", "b_eq"), ("A_in", "b_in")):
+            a, b = getattr(self, a_name), getattr(self, b_name)
+            if (a is None) != (b is None):
+                raise ValueError(f"{a_name} and {b_name} must be given together")
             if a is not None:
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-                if a.shape[1] != n:
-                    raise ValueError(f"{name} has {a.shape[1]} columns, expected {n}")
-                setattr(self, name, a)
-        if (self.A_eq is None) != (self.b_eq is None):
-            raise ValueError("A_eq and b_eq must be given together")
-        if (self.A_in is None) != (self.b_in is None):
-            raise ValueError("A_in and b_in must be given together")
-        if self.b_eq is not None:
-            self.b_eq = _vector(self.b_eq)
-            if self.b_eq.size != self.A_eq.shape[0]:
-                raise ValueError("b_eq length mismatch")
-        if self.b_in is not None:
-            self.b_in = _vector(self.b_in)
-            if self.b_in.size != self.A_in.shape[0]:
-                raise ValueError("b_in length mismatch")
-        if self.lo is not None:
-            self.lo = _vector(self.lo)
-            if self.lo.size != n:
-                raise ValueError("lo length mismatch")
-        if self.hi is not None:
-            self.hi = _vector(self.hi)
-            if self.hi.size != n:
-                raise ValueError("hi length mismatch")
+                a, blocks[b_name] = _block(a, b, n, a_name, b_name)
+                blocks[a_name] = a.copy()
+        for name in ("lo", "hi"):
+            if getattr(self, name) is not None:
+                blocks[name] = _vector(getattr(self, name))
+                if blocks[name].size != n:
+                    raise ValueError(f"{name} length mismatch")
+        A_in, b_in = blocks.pop("A_in", None), blocks.pop("b_in", None)
+        for name, v in blocks.items():
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "_rows", _Rows(self, A_in, b_in))
+        self._show_rows()
 
     @property
     def n(self) -> int:
         return self.c.size
 
+    def add_rows(self, a, b) -> None:
+        """Append the inequality rows a x <= b, checked as A_in and b_in are."""
+        self._rows.append(*_block(a, b, self.n, "a", "b"))
+        self._show_rows()
+
+    def _show_rows(self) -> None:
+        object.__setattr__(self, "A_in", self._rows.A_in)
+        object.__setattr__(self, "b_in", self._rows.b_in)
+
 
 def _vector(v) -> np.ndarray:
-    """v as a 1-D float array: a 1-D float array itself, so that a warm
-    start finds the previous QP's vectors by identity (_same)."""
-    v = np.asarray(v, dtype=float)
-    return v if v.ndim == 1 else v.ravel()
+    """A 1-D float copy of v."""
+    return np.array(v, dtype=float).ravel()
+
+
+def _block(a, b, n: int, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """a, of n columns, as a float array, and a float copy of b, of a's row count."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.shape[1] != n:
+        raise ValueError(f"{a_name} has {a.shape[1]} columns, expected {n}")
+    b = _vector(b)
+    if b.size != a.shape[0]:
+        raise ValueError(f"{b_name} length mismatch")
+    return a, b
 
 
 @dataclass
@@ -143,8 +162,6 @@ class QpSolution:
     duals_hi: np.ndarray
     iterations: int
     kkt_residual: float = 0.0
-    # the iteration's end state, from which solve_qp(..., warm=self) resumes
-    working_set: _WorkingSet | None = field(default=None, repr=False)
 
 
 OPTIMAL = "Optimal"
@@ -157,33 +174,56 @@ class _Rows:
 
     Order: equalities first (sign-flipped as needed during the solve),
     then user inequalities (negated), then lower bounds, then upper
-    bounds (negated). Nothing is stacked or copied: a row is read from
-    its block of the QP when it enters the working set, and a bound row
-    stays the unit vector it stands for, so its residual b - a'x is
-    lo - x (or x - hi) exactly.
+    bounds (negated). Nothing is stacked: a row is read from its block of
+    the QP when it enters the working set, and a bound row stays the unit
+    vector it stands for, so its residual b - a'x is lo - x (or x - hi)
+    exactly.
+
+    The user inequalities fill a buffer with spare capacity, whose rows
+    so far the QP shows as read-only A_in and b_in; appending renumbers
+    the bound rows. end is the working set of the last, Optimal, solve.
     """
 
-    def __init__(self, qp: QuadraticProgram):
-        self.qp = qp
+    def __init__(self, qp: QuadraticProgram, A_in: np.ndarray | None, b_in: np.ndarray | None):
+        # qp's blocks, not qp, which holds this object and is freed with it
+        self.n, self.A_eq, self.b_eq = qp.n, qp.A_eq, qp.b_eq
         self.n_eq = 0 if qp.A_eq is None else qp.A_eq.shape[0]
-        self.n_in = 0 if qp.A_in is None else qp.A_in.shape[0]
         lo = np.full(qp.n, -np.inf) if qp.lo is None else qp.lo
         hi = np.full(qp.n, np.inf) if qp.hi is None else qp.hi
         self.lo_idx = np.flatnonzero(np.isfinite(lo))
         self.hi_idx = np.flatnonzero(np.isfinite(hi))
         self.lo, self.hi = lo[self.lo_idx], hi[self.hi_idx]
-        self.m = self.n_eq + self.n_in + self.lo_idx.size + self.hi_idx.size
+        self.m = self.n_eq + self.lo_idx.size + self.hi_idx.size
+        self.n_in, self.A_in, self.b_in, self.end = 0, None, None, None  # end: a _WorkingSet
+        self._a, self._b = (np.zeros((0, qp.n)), np.zeros(0)) if A_in is None else (A_in, b_in)
+        if A_in is not None:
+            self._show(b_in.size)
+
+    def append(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the rows a x <= b after the user inequalities."""
+        start, end = self.n_in, self.n_in + b.size
+        if end > self._b.size:
+            spare = end // 4 + end - start
+            self._a = np.concatenate([self._a[:start], np.zeros((spare, self.n))])
+            self._b = np.concatenate([self._b[:start], np.zeros(spare)])
+        self._a[start:end], self._b[start:end] = a, b
+        self._show(end)
+
+    def _show(self, n_in: int) -> None:
+        # the buffer's first n_in rows become A_in and b_in, read-only
+        self.m, self.n_in = self.m + n_in - self.n_in, n_in
+        self.A_in, self.b_in = self._a[:n_in], self._b[:n_in]
+        self.A_in.flags.writeable = self.b_in.flags.writeable = False
 
     def row(self, p: int) -> tuple[np.ndarray, float]:
         """Row p as (a, b)."""
-        qp = self.qp
         if p < self.n_eq:
-            return qp.A_eq[p], qp.b_eq[p]
+            return self.A_eq[p], self.b_eq[p]
         p -= self.n_eq
         if p < self.n_in:
-            return -qp.A_in[p], -qp.b_in[p]
+            return -self.A_in[p], -self.b_in[p]
         p -= self.n_in
-        a = np.zeros(qp.n)
+        a = np.zeros(self.n)
         if p < self.lo_idx.size:
             a[self.lo_idx[p]] = 1.0
             return a, self.lo[p]
@@ -193,13 +233,13 @@ class _Rows:
 
     def violations(self, x: np.ndarray) -> np.ndarray:
         """b - a'x over every row but the equalities, in row order."""
-        ineq = self.qp.A_in @ x - self.qp.b_in if self.n_in else np.zeros(0)
+        ineq = self.A_in @ x - self.b_in if self.n_in else np.zeros(0)
         return np.concatenate([ineq, self.lo - x[self.lo_idx], x[self.hi_idx] - self.hi])
 
 
 @dataclass
 class _WorkingSet:
-    """The dual iterate of Goldfarb and Idnani on one QP.
+    """The dual iterate of Goldfarb and Idnani on the rows of one QP.
 
     x minimizes the objective subject to the active rows held as
     equalities; lam are their multipliers (internal sign, >= 0 on
@@ -207,17 +247,17 @@ class _WorkingSet:
     and flip the sign applied to each equality row when it was pinned.
     """
 
-    qp: QuadraticProgram
     J: np.ndarray
     R: np.ndarray  # R[:q, :q] is the active rows' triangular factor
     x: np.ndarray
     active: list[int]
     lam: list[float]
     flip: np.ndarray
+    n_in: int  # the user inequalities when active was last numbered
     iters: int = 0  # steps taken by this solve
 
     @classmethod
-    def empty(cls, qp: QuadraticProgram, n_eq: int) -> _WorkingSet:
+    def empty(cls, qp: QuadraticProgram, rows: _Rows) -> _WorkingSet:
         """The unconstrained minimizer with no row active."""
         n = qp.n
         try:
@@ -229,26 +269,18 @@ class _WorkingSet:
             except np.linalg.LinAlgError as exc:
                 raise NumericalBreakdownError("cholesky failed on regularized Q") from exc
         J = np.linalg.inv(L).T
-        return cls(qp, J, np.zeros((n, n)), -J @ (J.T @ qp.c), [], [], np.ones(n_eq))
+        return cls(J, np.zeros((n, n)), -J @ (J.T @ qp.c), [], [], np.ones(rows.n_eq), rows.n_in)
 
-    @classmethod
-    def resume(cls, warm: QpSolution, qp: QuadraticProgram, rows: _Rows) -> _WorkingSet:
-        """A copy of warm's end state, its rows renumbered for qp."""
-        ws = warm.working_set
-        if warm.status != OPTIMAL or ws is None:
-            raise ValueError("a warm start needs an Optimal solution returned by solve_qp")
-        if not _rows_appended(ws.qp, qp):
-            raise ValueError(
-                "warm start is not a solution of this QP with inequality rows appended")
-        old_in = 0 if ws.qp.A_in is None else ws.qp.A_in.shape[0]
-        end, shift = rows.n_eq + old_in, rows.n_in - old_in
-        active = [j + shift if j >= end else j for j in ws.active]
-        return cls(qp, ws.J.copy(), ws.R.copy(), ws.x, active, list(ws.lam), ws.flip.copy())
+    def resume(self, rows: _Rows) -> None:
+        """Continue on rows: active bound rows move past the rows appended since."""
+        end, shift = rows.n_eq + self.n_in, rows.n_in - self.n_in
+        self.active = [j + shift if j >= end else j for j in self.active]
+        self.n_in, self.iters = rows.n_in, 0
 
     def run(self, rows: _Rows) -> str:
         """Pin the equalities not yet active, then add the most violated
         row until none is violated by more than TOL_FEAS."""
-        max_iter = _STEPS_PER_ROW * (self.qp.n + rows.m)
+        max_iter = _STEPS_PER_ROW * (rows.n + rows.m)
         for p in range(rows.n_eq):
             # pinned even when already satisfied
             if p not in self.active:
@@ -259,7 +291,7 @@ class _WorkingSet:
             viol = rows.violations(self.x)
             if not viol.size:
                 return OPTIMAL
-            p_rel = int(np.argmax(viol))
+            p_rel = int(viol.argmax())
             worst = viol[p_rel]
             if worst <= TOL_FEAS:
                 return OPTIMAL
@@ -304,7 +336,7 @@ class _WorkingSet:
                         blocker = idx
             if znp <= 1e-13:
                 # no primal progress possible along this constraint
-                if not np.isfinite(t1):
+                if not math.isfinite(t1):
                     return INFEASIBLE
                 t = t1
                 for idx in range(len(active)):
@@ -314,7 +346,7 @@ class _WorkingSet:
                 continue
             t2 = viol / znp
             t = min(t1, t2)
-            if not np.isfinite(t):
+            if not math.isfinite(t):
                 return INFEASIBLE
             self.x = self.x + t * z
             for idx in range(len(active)):
@@ -330,9 +362,9 @@ class _WorkingSet:
         J, R = self.J, self.R
         q = len(self.active)
         v = d[q:].copy()
-        head = -np.copysign(np.linalg.norm(v), v[0])
+        head = -math.copysign(math.sqrt(v @ v), v[0])  # the bits of np.linalg.norm
         v[0] -= head
-        J[:, q:] -= np.outer(J[:, q:] @ v, v * (2.0 / (v @ v)))
+        J[:, q:] -= (J[:, q:] @ v)[:, None] * (v * (2.0 / (v @ v)))
         R[:q, q] = d[:q]
         R[q, q] = head
         self.active.append(p)
@@ -355,52 +387,27 @@ class _WorkingSet:
         del self.lam[idx]
 
 
-def _same(a, b) -> bool:
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
-def _rows_appended(old: QuadraticProgram, new: QuadraticProgram) -> bool:
-    """Whether new is old with inequality rows appended.
-
-    The leading rows of A_in are compared only when they are not the
-    very memory of old's, as when a caller appends to one buffer."""
-    if not all(_same(getattr(old, k), getattr(new, k))
-               for k in ("Q", "c", "A_eq", "b_eq", "lo", "hi")):
-        return False
-    if old.A_in is None:
-        return True
-    if new.A_in is None or new.A_in.shape[0] < old.A_in.shape[0]:
-        return False
-    k = old.A_in.shape[0]
-    head = new.A_in[:k]
-    same_memory = (head.__array_interface__["data"] == old.A_in.__array_interface__["data"]
-                   and head.strides == old.A_in.strides)
-    return (same_memory or np.array_equal(head, old.A_in)) and np.array_equal(
-        new.b_in[:k], old.b_in)
-
-
-def solve_qp(qp: QuadraticProgram, warm: QpSolution | None = None) -> QpSolution:
+def solve_qp(qp: QuadraticProgram) -> QpSolution:
     """Solve a convex QP and measure the result against its KKT system.
-
-    With warm, an Optimal solution of this QP before inequality rows were
-    appended to A_in (and b_in), the iteration resumes from warm's end
-    state instead of the unconstrained minimizer; ValueError if qp is not
-    warm's QP with rows appended. The QP's arrays are read, not copied,
-    and must not change between the two solves.
+    After add_rows on an Optimal QP, the solve resumes (module docstring).
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
     residual (stationarity net of the roundoff of its terms and
     complementarity relative to the dual and the row, see _kkt_residual
     and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
-    Deterministic for identical input.
+    Deterministic for identical input: the same QP built, grown and
+    solved in the same order.
     """
-    rows = _Rows(qp)
-    if warm is None:
-        ws = _WorkingSet.empty(qp, rows.n_eq)
+    rows = qp._rows
+    ws, rows.end = rows.end, None
+    if ws is not None and ws.n_in < rows.n_in:
+        ws.resume(rows)
     else:
-        ws = _WorkingSet.resume(warm, qp, rows)
+        ws = _WorkingSet.empty(qp, rows)
     status = ws.run(rows)
+    if status == OPTIMAL:
+        rows.end = ws
 
     duals = np.zeros(rows.m)
     for j, lam_j in zip(ws.active, ws.lam):
@@ -411,7 +418,6 @@ def solve_qp(qp: QuadraticProgram, warm: QpSolution | None = None) -> QpSolution
         x, duals = _polish(qp, rows, ws.active, x, duals)
 
     sol = _package(qp, rows, x, duals, status, ws.iters)
-    sol.working_set = ws
     if status == OPTIMAL:
         sol.kkt_residual = _kkt_residual(qp, sol)
         if sol.kkt_residual > 100 * TOL_KKT:
@@ -428,14 +434,14 @@ def _polish(qp, rows, active, x, duals):
     """
     n = qp.n
     act = sorted(active)
-    N, b_act = zip(*(rows.row(j) for j in act))
-    N = np.array(N)
     k = len(act)
     kkt = np.zeros((n + k, n + k))
+    rhs = np.empty(n + k)
     kkt[:n, :n] = qp.Q
-    kkt[:n, n:] = N.T
-    kkt[n:, :n] = N
-    rhs = np.concatenate([-qp.c, b_act])
+    rhs[:n] = -qp.c
+    for i, j in enumerate(act, n):
+        kkt[i, :n], rhs[i] = rows.row(j)
+    kkt[:n, n:] = kkt[n:, :n].T
     try:
         sol = np.linalg.solve(kkt, rhs)
         # one step of iterative refinement
@@ -447,32 +453,23 @@ def _polish(qp, rows, active, x, duals):
     # stationarity here reads Qx + c + N'y = 0; internal duals satisfy
     # Qx + c - N'd = 0, so d = -y
     y = sol[n:]
-    duals_new = duals.copy()
-    for i, j in enumerate(act):
-        duals_new[j] = -y[i]
     # reject the polish if it breaks sign or feasibility
-    if any(duals_new[j] < -1e-9 for j in act if j >= rows.n_eq):
+    if ((y[bisect_left(act, rows.n_eq):] > 1e-9).any()
+            or rows.violations(x_new).max(initial=0.0) > 1e-8
+            or rows.n_eq and np.abs(qp.b_eq - qp.A_eq @ x_new).max() > 1e-8):
         return x, duals
-    worst = np.max(rows.violations(x_new), initial=0.0)
-    eqr = np.max(np.abs(qp.b_eq - qp.A_eq @ x_new)) if rows.n_eq else 0.0
-    if worst > 1e-8 or eqr > 1e-8:
-        return x, duals
+    duals_new = duals.copy()
+    duals_new[act] = -y
     return x_new, duals_new
 
 
 def _package(qp, rows, x, duals, status, iters) -> QpSolution:
-    n = qp.n
-    n_eq, n_in = rows.n_eq, rows.n_in
+    n_eq, ofs = rows.n_eq, rows.n_eq + rows.n_in  # the bound rows start at ofs
     duals_eq = duals[:n_eq].copy()
-    duals_in = duals[n_eq : n_eq + n_in].copy()
-    duals_lo = np.zeros(n)
-    duals_hi = np.zeros(n)
-    ofs = n_eq + n_in
-    if rows.lo_idx.size:
-        duals_lo[rows.lo_idx] = duals[ofs : ofs + rows.lo_idx.size]
-        ofs += rows.lo_idx.size
-    if rows.hi_idx.size:
-        duals_hi[rows.hi_idx] = duals[ofs : ofs + rows.hi_idx.size]
+    duals_in = duals[n_eq:ofs].copy()
+    duals_lo, duals_hi = np.zeros(qp.n), np.zeros(qp.n)
+    duals_lo[rows.lo_idx] = duals[ofs : ofs + rows.lo_idx.size]
+    duals_hi[rows.hi_idx] = duals[ofs + rows.lo_idx.size :]
     obj = 0.5 * x @ qp.Q @ x + qp.c @ x
     return QpSolution(
         x=x,
@@ -494,32 +491,31 @@ def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
     is taken off each entry before the max, so a residual of the size of
     roundoff reads 0 while an error above it shows at its full size.
     """
-    x = sol.x
+    x, rows = sol.x, qp._rows
     grad = qp.Q @ x + qp.c
     size = np.abs(qp.Q) @ np.abs(x) + np.abs(qp.c)
-    if qp.A_in is not None:
-        grad = grad + qp.A_in.T @ sol.duals_in
-        held = np.flatnonzero(sol.duals_in)  # most rows hold no dual and add nothing
-        size = size + np.abs(sol.duals_in[held]) @ np.abs(qp.A_in[held])
-    if qp.A_eq is not None:
-        grad = grad - qp.A_eq.T @ sol.duals_eq
-        size = size + np.abs(qp.A_eq.T) @ np.abs(sol.duals_eq)
+    if rows.n_in:
+        grad += qp.A_in.T @ sol.duals_in
+        held = sol.duals_in.nonzero()[0]  # most rows hold no dual and add nothing
+        size += np.abs(sol.duals_in[held]) @ np.abs(qp.A_in[held])
+    if rows.n_eq:
+        grad -= qp.A_eq.T @ sol.duals_eq
+        size += np.abs(qp.A_eq.T) @ np.abs(sol.duals_eq)
     grad = grad - sol.duals_lo + sol.duals_hi
-    size = size + np.abs(sol.duals_lo) + np.abs(sol.duals_hi)
-    terms = x.size + len(sol.duals_in) + len(sol.duals_eq) + 2
-    res = float(np.max(np.abs(grad) - terms * np.finfo(float).eps * size, initial=0.0))
-    if qp.A_eq is not None and qp.A_eq.shape[0]:
-        res = max(res, float(np.max(np.abs(qp.A_eq @ x - qp.b_eq))))
+    size += np.abs(sol.duals_lo) + np.abs(sol.duals_hi)
+    terms = x.size + sol.duals_in.size + sol.duals_eq.size + 2
+    res = float((np.abs(grad) - terms * _EPS * size).max(initial=0.0))
+    if rows.n_eq:
+        res = max(res, float(np.abs(qp.A_eq @ x - qp.b_eq).max()))
     # the inequality rows and the finite bounds in one pass, each as lhs <= rhs
-    rows = _Rows(qp)
     ax, b_in = (qp.A_in @ x, qp.b_in) if rows.n_in else (x[:0], x[:0])
     lhs = np.concatenate([ax, -x[rows.lo_idx], x[rows.hi_idx]])
     rhs = np.concatenate([b_in, -rows.lo, rows.hi])
     dual = np.concatenate([sol.duals_in, sol.duals_lo[rows.lo_idx], sol.duals_hi[rows.hi_idx]])
     slack = rhs - lhs
-    res = max(res, float(np.max(-slack.clip(max=0.0), initial=0.0)))
-    res = max(res, _complementarity(dual, slack, np.abs(lhs) + np.abs(rhs)))
-    return max(res, float(np.max(-sol.duals_in, initial=0.0)))
+    res = max(res, float((-slack).max(initial=0.0)),
+              _complementarity(dual, slack, np.abs(lhs) + np.abs(rhs)))
+    return max(res, float((-sol.duals_in).max(initial=0.0)))
 
 
 def _complementarity(dual, slack, size):
@@ -531,4 +527,4 @@ def _complementarity(dual, slack, size):
     nonzero dual on a row with real slack still reads near
     |slack| / size, or |dual * slack| for a small dual.
     """
-    return float(np.max(np.abs(dual * slack) / (1.0 + np.abs(dual) * size), initial=0.0))
+    return float((np.abs(dual * slack) / (1.0 + np.abs(dual) * size)).max(initial=0.0))

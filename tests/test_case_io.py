@@ -2,6 +2,7 @@
 overrides, round-trips, deterministic 12-digit output, and the
 MATPOWER topology import."""
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -352,6 +353,50 @@ def test_report_number_beyond_float_range_is_parse_error():
     doc = report_to_dict(sample_report())
     _set(doc, ("lines", 0, "mean_flow"), 10**400)  # float() raises OverflowError
     with pytest.raises(ParseError, match="mean_flow"):
+        report_from_dict(doc)
+
+
+CASE9 = Path(__file__).parent.parent / "cases" / "case9_wind.json"
+CASE9_REPORT = Path(__file__).parent / "data" / "ccopf_case9_wind.json"
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id="/".join(map(str, path)) + "=" + json.dumps(value))
+    for path, value in [
+        (("buses", 0, "id"), "1"),
+        (("generators", 0, "bus"), True),
+        (("lines", 0, "beta"), "2.5"),
+        (("buses", 4, "d"), True),
+        (("slack_bus",), "9"),
+        (("generators", 1, "pmax"), False),
+        (("chance", "eps_line_default"), "0.05"),
+    ]
+])
+def test_case_number_given_as_string_or_boolean_is_parse_error(path, value):
+    # int() and float() read "1", True and "2.5"; a JSON case holds numbers
+    doc = json.loads(CASE9.read_text())
+    _set(doc, path, value)
+    with pytest.raises(ParseError, match=f"field '{path[-1]}': must be a number, got {value!r}"):
+        parse_case_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(path, value, id="/".join(map(str, path)) + "=" + json.dumps(value))
+    for path, value in [
+        (("lines", 3, "line"), "3"),
+        (("lines", 3, "line"), True),
+        (("lines", 0, "mean_flow"), "0.5"),
+        (("lines", 2, "prob_thermal"), True),
+        (("dispatch", "p", 0), "0.5"),
+        (("generators", 1, "prob_bounds"), "0"),
+        (("iterations", 0, "violation"), False),
+    ]
+])
+def test_report_number_given_as_string_or_boolean_is_parse_error(path, value):
+    doc = json.loads(CASE9_REPORT.read_text())
+    _set(doc, path, value)
+    field = next(key for key in reversed(path) if isinstance(key, str))
+    with pytest.raises(ParseError, match=f"field '{field}': must be a number, got {value!r}"):
         report_from_dict(doc)
 
 

@@ -2,6 +2,7 @@
 conic constraint algebra, analytic violation probabilities, the screen
 of lines that can never bind, and the cutting-plane solve (termination,
 certificates, degenerate limits)."""
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -39,7 +40,7 @@ from syncopf.cc_opf import (
 )
 from syncopf.case_io import parse_case_dict
 from syncopf.network import Dispatch
-from syncopf.qp import solve_qp
+from syncopf.qp import QuadraticProgram, solve_qp
 
 
 def two_bus_wind(sigma=0.1, pbar=1.6, mu=0.2, d=1.0):
@@ -289,11 +290,14 @@ def test_assembled_rows_match_per_cut_loop():
     cuts = np.concatenate([_tangents(table, lines, np.zeros(net.n_line), 0),
                            _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)])
     # base rows of every line, of two, and of none, as when all are screened
+    n = 2 * net.n_gen
     for base in (lines, np.array([0, 2]), np.array([], dtype=int)):
         rows = _CutRows(table, base)
-        for batch in (cuts[:2], cuts[2:5], cuts[:0], cuts[5:]):  # grows its buffer
-            rows.add(batch)
-        a_in, b_in = rows.view()
+        a_base, b_base = rows.base()
+        qp = QuadraticProgram(Q=np.eye(n), c=np.zeros(n), A_in=a_base, b_in=b_base)
+        for batch in (cuts[:2], cuts[2:5], cuts[:0], cuts[5:]):  # grows the QP's buffer
+            qp.add_rows(*rows.rows(batch))
+        a_in, b_in = qp.A_in, qp.b_in
         a_ref, b_ref = _assemble_reference(table, base, cuts)
         assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
         assert a_in.shape[0] == 2 * base.size + 2 * (2 + 1 + 1) * 2
@@ -465,17 +469,18 @@ def _mesh100_tight_caps():
     _mesh100_tight_caps,
 ], ids=["case9", "alternation", "mesh100"])
 def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
-    # every QP of the loop resumes from the previous cut's optimum; a cold
-    # solve of the same assembled QP gives the same bits
+    # the loop grows one QP, and every solve resumes from the previous cut's
+    # optimum; a cold solve of a fresh copy of the rows gives the same bits
     net, chance = load()
     seen = []
 
-    def spy(qp, warm=None):
-        sol = solve_qp(qp, warm=warm)
-        cold = solve_qp(qp)
+    def spy(qp):
+        resumed = qp._rows.end is not None
+        sol = solve_qp(qp)
+        cold = solve_qp(dataclasses.replace(qp))  # a new QP with copies of every block
         for name in ("x", "duals_eq", "duals_in", "duals_lo", "duals_hi"):
             assert np.array_equal(getattr(sol, name), getattr(cold, name)), (len(seen), name)
-        seen.append((warm is not None, qp.A_in.shape[0]))
+        seen.append((resumed, qp.A_in.shape[0]))
         return sol
 
     monkeypatch.setattr(cc_mod, "solve_qp", spy)

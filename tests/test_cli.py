@@ -360,6 +360,19 @@ def test_ccopf_report_matches_golden_bytes(case, golden, capsys):
     assert out == (DATA / golden).read_text()
 
 
+@pytest.mark.parametrize("case, golden", [
+    ("cases/case9_wind.json", "plot_case9_wind.csv"),
+    ("cases/alternation.json", "plot_alternation.csv"),
+    (str(DATA / "mesh100.json"), "plot_mesh100.csv"),
+], ids=["case9_wind", "alternation", "mesh100"])
+def test_ccopf_plot_data_matches_golden_bytes(case, golden, capsys, tmp_path):
+    # every cut iteration's objective and worst violation at 12 digits
+    plot = tmp_path / "plot.csv"
+    code, _ = run(capsys, ["solve", "ccopf", "--case", case, "--emit-plot-data", str(plot)])
+    assert code == 0
+    assert plot.read_bytes() == (DATA / golden).read_bytes()
+
+
 @pytest.mark.parametrize("argv, golden", [
     (["solve", "ccopf", "--case", "cases/case9_wind.json", "--format", "csv"],
      "ccopf_case9_wind.csv"),

@@ -2,8 +2,9 @@
 
 Covers: hand-checked KKT examples, dual sign conventions, infeasibility
 detection, semidefinite regularization, randomized KKT certification,
-inactive-constraint removal invariance, and feasible ill-conditioned
-problems with dependent rows, and the KKT residual's warning.
+inactive-constraint removal invariance, feasible ill-conditioned
+problems with dependent rows, the KKT residual's warning, and a QP
+grown by add_rows, whose solves resume where the last one ended.
 """
 import dataclasses
 import logging
@@ -268,11 +269,11 @@ def test_dimension_validation():
         QuadraticProgram(Q=[[1.0, 0.5], [0.4, 1.0]], c=[0.0, 0.0])
 
 
-# --- warm start --------------------------------------------------------------
+# --- a QP grown by add_rows -------------------------------------------------
 
 def _grown_qp(rng, n):
     # bounds and an equality that bind, and 3n feasible inequality rows
-    # revealed in batches: qps[k] is qps[k - 1] with rows appended
+    # revealed in batches: the QP of the first batch, and the other batches
     M = rng.normal(size=(n, n))
     Q = M @ M.T + 0.5 * np.eye(n)
     c = 5.0 * rng.normal(size=n)
@@ -283,19 +284,32 @@ def _grown_qp(rng, n):
     common = dict(Q=Q, c=c, A_eq=rng.normal(size=(1, n)), lo=np.full(n, -1.0),
                   hi=np.where(rng.random(n) < 0.5, 1.0, np.inf))
     common["b_eq"] = common["A_eq"] @ x_feas
-    return [QuadraticProgram(A_in=A[:k], b_in=b[:k], **common) for k in (*cuts, 3 * n)]
+    ends = (*cuts, 3 * n)
+    qp = QuadraticProgram(A_in=A[: ends[0]], b_in=b[: ends[0]], **common)
+    return qp, [(A[i:j], b[i:j]) for i, j in zip(ends, ends[1:])]
+
+
+def _active(qp):
+    # the active rows of the working set the QP's last, Optimal, solve ended in
+    return sorted(qp._rows.end.active)
 
 
 def test_warm_start_equals_cold_solve():
     rng = np.random.default_rng(31)
     moved = 0
     for trial in range(40):
+        qp, batches = _grown_qp(rng, int(rng.integers(2, 9)))
         prev = None
-        for qp in _grown_qp(rng, int(rng.integers(2, 9))):
-            warm = solve_qp(qp, warm=prev)
-            cold = solve_qp(qp)
+        for batch in [None, *batches]:
+            if batch is not None:
+                qp.add_rows(*batch)
+            resumed = qp._rows.end is not None
+            warm = solve_qp(qp)
+            cold_qp = dataclasses.replace(qp)  # the same blocks, copied into a new QP
+            cold = solve_qp(cold_qp)
+            assert resumed == (prev is not None), trial
             assert warm.status == cold.status == OPTIMAL, trial
-            assert sorted(warm.working_set.active) == sorted(cold.working_set.active), trial
+            assert _active(qp) == _active(cold_qp), trial
             for name in ("x", "duals_eq", "duals_in", "duals_lo", "duals_hi"):
                 assert np.allclose(getattr(warm, name), getattr(cold, name), rtol=0, atol=1e-12)
             moved += prev is not None and not np.array_equal(warm.x, prev.x)
@@ -305,33 +319,57 @@ def test_warm_start_equals_cold_solve():
 
 def test_warm_start_appended_row_infeasible():
     # x >= 1, then x <= 0 appended
-    first = QuadraticProgram(Q=[[2.0]], c=[0.0], A_in=[[-1.0]], b_in=[-1.0], lo=[-5.0])
-    sol = solve_qp(first)
+    qp = QuadraticProgram(Q=[[2.0]], c=[0.0], A_in=[[-1.0]], b_in=[-1.0], lo=[-5.0])
+    sol = solve_qp(qp)
     assert sol.status == OPTIMAL and sol.x[0] == pytest.approx(1.0)
-    grown = QuadraticProgram(Q=[[2.0]], c=[0.0], A_in=[[-1.0], [1.0]], b_in=[-1.0, 0.0],
-                             lo=[-5.0])
-    assert solve_qp(grown, warm=sol).status == INFEASIBLE
-    assert solve_qp(grown).status == INFEASIBLE
+    qp.add_rows([[1.0]], [0.0])
+    assert qp._rows.end is not None  # the solve resumes
+    assert solve_qp(qp).status == INFEASIBLE
+    assert solve_qp(dataclasses.replace(qp)).status == INFEASIBLE
 
 
-def test_warm_start_from_another_qp_raises():
-    rng = np.random.default_rng(4)
-    small, _, _, big = _grown_qp(rng, 4)
-    sol = solve_qp(small)
-    others = [
-        dataclasses.replace(big, c=big.c + 1e-9),
-        dataclasses.replace(big, Q=2.0 * big.Q),
-        dataclasses.replace(big, lo=None),
-        dataclasses.replace(big, b_eq=big.b_eq + 1.0),
-        dataclasses.replace(big, b_in=np.r_[big.b_in[:1] + 1e-9, big.b_in[1:]]),
-        dataclasses.replace(big, A_in=-big.A_in),
-        dataclasses.replace(small, A_in=small.A_in[:-1], b_in=small.b_in[:-1]),  # rows removed
-    ]
-    for other in others:
-        with pytest.raises(ValueError):
-            solve_qp(other, warm=sol)
-    # a solution that is not optimal has no state to resume from
-    infeasible = QuadraticProgram(Q=[[2.0]], c=[0.0], lo=[1.0], hi=[0.5])
-    with pytest.raises(ValueError):
-        solve_qp(infeasible, warm=solve_qp(infeasible))
-    assert solve_qp(big, warm=sol).status == OPTIMAL
+def test_add_rows_refuses_misshapen_block():
+    qp = QuadraticProgram(Q=np.eye(2), c=[0.0, 0.0], A_in=[[1.0, 0.0]], b_in=[1.0])
+    with pytest.raises(ValueError, match="a has 3 columns, expected 2"):
+        qp.add_rows([[1.0, 2.0, 3.0]], [1.0])
+    with pytest.raises(ValueError, match="b length mismatch"):
+        qp.add_rows([[1.0, 2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="b length mismatch"):
+        qp.add_rows([[1.0, 2.0], [0.0, 1.0]], [1.0])
+    assert qp.A_in.tolist() == [[1.0, 0.0]] and qp.b_in.tolist() == [1.0]
+    qp.add_rows([0.0, 1.0], 2.0)  # one row, given as a vector and a number
+    assert qp.A_in.tolist() == [[1.0, 0.0], [0.0, 1.0]] and qp.b_in.tolist() == [1.0, 2.0]
+    # a QP with no inequality rows takes them too
+    bare = QuadraticProgram(Q=np.eye(2), c=[-4.0, 0.0])
+    bare.add_rows([[1.0, 0.0]], [1.0])
+    assert solve_qp(bare).x.tolist() == [1.0, 0.0]
+
+
+def test_qp_blocks_are_read_only():
+    given = {"Q": np.eye(2), "c": np.zeros(2), "A_eq": np.ones((1, 2)), "b_eq": np.ones(1),
+             "A_in": np.eye(2), "b_in": np.ones(2), "lo": np.zeros(2), "hi": np.full(2, 3.0)}
+    qp = QuadraticProgram(**given)
+    qp.add_rows([[1.0, 1.0]], [1.5])
+    for name, value in given.items():
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(qp, name, value)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(qp, name)[0] = 7.0
+        value[...] = 7.0  # the QP holds its own copy
+        assert 7.0 not in getattr(qp, name)
+    assert qp.A_in.shape == (3, 2)
+
+
+def test_qp_after_infeasible_solve_restarts_cold():
+    rng = np.random.default_rng(8)
+    qp, batches = _grown_qp(rng, 6)
+    assert solve_qp(qp).status == OPTIMAL
+    a, b = batches[0]
+    qp.add_rows(np.vstack([a, -a[:1]]), np.r_[b, -b[0] - 1.0])  # a_0 x <= b_0 and >= b_0 + 1
+    assert solve_qp(qp).status == INFEASIBLE
+    assert qp._rows.end is None
+    qp.add_rows(*batches[1])
+    again, cold = solve_qp(qp), solve_qp(dataclasses.replace(qp))
+    assert again.status == cold.status == INFEASIBLE
+    assert again.iterations == cold.iterations
+    assert np.array_equal(again.x, cold.x)
