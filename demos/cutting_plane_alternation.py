@@ -15,7 +15,7 @@ def show(case_path):
           f"after {sol.iterations} QP solves, {len(sol.cuts)} cuts")
     print("  iter  line  kind     violation")
     for rec in sol.iteration_log:
-        print(f"  {rec.iteration:4d}  {rec.line:4d}  {rec.kind:7s}  {rec.violation:.3e}")
+        print(f"  {rec['iteration']:4d}  {rec['line']:4d}  {rec['kind']:7s}  {rec['violation']:.3e}")
     binding = [
         (k, "thermal") for k, b in enumerate(sol.binding_thermal) if b
     ] + [(k, "sync") for k, b in enumerate(sol.binding_sync) if b]

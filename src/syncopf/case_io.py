@@ -33,8 +33,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
-from itertools import starmap
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -458,13 +457,16 @@ def _bools(column: list) -> list:
     return column
 
 
-# The keys of a report's line and generator rows, in the order they are
-# written, and the reader of each field's column.
+# The keys of a report's line, generator and cut-iteration rows, in the
+# order they are written, and the reader of each field's column. An
+# iteration row's kind is "thermal" or "sync".
 LINE_FIELDS = ("line", "from", "to", "mean_flow", "prob_thermal", "prob_sync",
                "binding_thermal", "binding_sync")
 _LINE_KINDS = (_wholes, _wholes, _wholes, _floats, _floats, _floats, _bools, _bools)
 GENERATOR_FIELDS = ("gen", "bus", "prob_bounds")
 _GENERATOR_KINDS = (_wholes, _wholes, _floats)
+ITERATION_FIELDS = ("iteration", "line", "kind", "violation")
+_ITERATION_KINDS = (_wholes, _wholes, _strs, _floats)
 
 
 def _row_builder(keys: tuple):
@@ -478,18 +480,7 @@ def _row_builder(keys: tuple):
 
 line_rows = _row_builder(LINE_FIELDS)
 generator_rows = _row_builder(GENERATOR_FIELDS)
-
-
-@dataclass
-class IterationRecord:
-    iteration: int
-    line: int
-    kind: str  # thermal | sync | gen-min | gen-max
-    violation: float
-
-
-_ITERATION_FIELDS = tuple(f.name for f in fields(IterationRecord))
-_ITERATION_KINDS = (_wholes, _wholes, _strs, _floats)
+iteration_rows = _row_builder(ITERATION_FIELDS)
 
 
 @dataclass
@@ -497,10 +488,10 @@ class SolutionReport:
     """Solver output in serializable form.
 
     Probabilities are the exact two-sided analytic values under the
-    Gaussian wind model; iteration records carry the cutting-plane
-    history for the alternation analysis. lines and generators hold the
-    rows as they are written: dicts keyed by LINE_FIELDS and
-    GENERATOR_FIELDS.
+    Gaussian wind model; iterations carry the cutting-plane history for
+    the alternation analysis. lines, generators and iterations hold the
+    rows as they are written: dicts keyed by LINE_FIELDS,
+    GENERATOR_FIELDS and ITERATION_FIELDS.
     """
 
     variant: str
@@ -510,7 +501,7 @@ class SolutionReport:
     alpha: list
     lines: list
     generators: list
-    iterations: list = field(default_factory=list)  # of IterationRecord
+    iterations: list = field(default_factory=list)
 
     def __post_init__(self):
         thermal, sync = LINE_FIELDS[4:6]
@@ -521,11 +512,11 @@ class SolutionReport:
         for gr in self.generators:
             if not 0.0 <= gr[bounds] <= 1.0:
                 raise ValidationError("generator probabilities must lie in [0, 1]")
-        last = 0
+        last, number = 0, ITERATION_FIELDS[0]
         for it in self.iterations:
-            if it.iteration <= last:
+            if it[number] <= last:
                 raise ValidationError("iteration numbers must be strictly increasing")
-            last = it.iteration
+            last = it[number]
 
 
 def report_to_dict(report: SolutionReport) -> dict:
@@ -537,7 +528,7 @@ def report_to_dict(report: SolutionReport) -> dict:
         "dispatch": {"p": list(map(float, report.p)), "alpha": list(map(float, report.alpha))},
         "lines": report.lines,
         "generators": report.generators,
-        "iterations": [asdict(it) for it in report.iterations],
+        "iterations": report.iterations,
     }
 
 
@@ -574,7 +565,7 @@ def report_from_dict(doc) -> SolutionReport:
         lines = _columns(doc["lines"], "lines", LINE_FIELDS, _LINE_KINDS)
         gens = _columns(doc["generators"], "generators", GENERATOR_FIELDS, _GENERATOR_KINDS)
         iterations = _columns(doc.get("iterations", []), "iterations",
-                              _ITERATION_FIELDS, _ITERATION_KINDS)
+                              ITERATION_FIELDS, _ITERATION_KINDS)
         return SolutionReport(
             variant=doc["variant"],
             status=doc["status"],
@@ -583,7 +574,7 @@ def report_from_dict(doc) -> SolutionReport:
             alpha=alpha,
             lines=line_rows(lines),
             generators=generator_rows(gens),
-            iterations=list(starmap(IterationRecord, zip(*iterations))),
+            iterations=iteration_rows(iterations),
         )
     except KeyError as exc:
         raise ParseError(f"report missing field {exc}") from exc

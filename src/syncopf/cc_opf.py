@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .case_io import ChanceSpec, IterationRecord
+from .case_io import ChanceSpec, iteration_rows
 from .errors import DomainError, InfeasibleError, IterLimitError, ValidationError
 from .network import Dispatch, GapMoments, Network
 from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
@@ -133,22 +133,24 @@ def violations(table: ConicTable, dispatch: Dispatch) -> np.ndarray:
     return out
 
 
+def outside_prob(center, sd, lo, hi) -> np.ndarray:
+    """Probability that a Gaussian of mean center and standard deviation sd
+    falls outside [lo, hi], elementwise; a point mass where sd vanishes."""
+    with np.errstate(all="ignore"):
+        prob = np.minimum(_qfun((hi - center) / sd) + _qfun((center - lo) / sd), 1.0)
+    outside = np.logical_or(center > hi, center < lo).astype(float)
+    return np.where(sd <= 1e-300, outside, prob)
+
+
 def analytic_violation_prob(mean, spread, bound) -> np.ndarray:
     """Exact two-sided Gaussian probability that |gap| > bound, elementwise."""
-    m = np.abs(mean)
-    with np.errstate(all="ignore"):
-        p = np.minimum(_qfun((bound - m) / spread) + _qfun((bound + m) / spread), 1.0)
-    return np.where(spread <= 1e-300, (m > bound).astype(float), p)
+    return outside_prob(np.abs(mean), spread, -bound, bound)
 
 
 def generator_violation_prob(p, alpha, pmin, pmax, sigma_tot: float) -> np.ndarray:
     """Two-sided probability the responding output p - alpha*W leaves its
     box, elementwise over generators."""
-    sd = np.abs(alpha) * sigma_tot
-    with np.errstate(all="ignore"):
-        prob = np.minimum(_qfun((pmax - p) / sd) + _qfun((p - pmin) / sd), 1.0)
-    outside = np.logical_or(p > pmax, p < pmin).astype(float)
-    return np.where(sd <= 1e-300, outside, prob)
+    return outside_prob(p, np.abs(alpha) * sigma_tot, pmin, pmax)
 
 
 def expected_cost(net: Network, dispatch: Dispatch, sigma_tot_sq: float) -> float:
@@ -227,7 +229,7 @@ class CcSolution:
     objective: float
     status: str
     iterations: int
-    iteration_log: list = field(default_factory=list)  # of IterationRecord
+    iteration_log: list = field(default_factory=list)  # rows keyed by case_io.ITERATION_FIELDS
     objective_trace: list = field(default_factory=list)
     violated_counts: list = field(default_factory=list)
     table: ConicTable | None = None
@@ -301,8 +303,11 @@ def solve_cc_opf(
     add_all_violated cuts every violated line at once). Raises
     InfeasibleError if the tightened generation bounds or the QP are
     infeasible, IterLimitError if the loop does not settle within
-    max_iter iterations.
+    max_iter iterations, ValidationError unless tol_cut is finite and
+    at least 0.
     """
+    if not 0.0 <= tol_cut < math.inf:  # NaN fails this too
+        raise ValidationError(f"tol_cut must be finite and >= 0, got {tol_cut}")
     g = net.n_gen
     table = build_conic_constraints(net, chance)
     eta_g = -ndtri(chance.eps_gen)
@@ -343,7 +348,7 @@ def solve_cc_opf(
     qp = QuadraticProgram(Q=np.diag(quad), c=lin, A_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi)
     qp.add_rows(*cut_rows.base())
     qp.add_rows(*cut_rows.rows(cuts[0]))
-    log: list[IterationRecord] = []
+    log: list[tuple] = []  # (iteration, line, kind, violation) of each cut
     trace: list[float] = []
     violated_counts: list[int] = []
 
@@ -366,7 +371,7 @@ def solve_cc_opf(
                 objective=trace[-1],
                 status="optimal",
                 iterations=it,
-                iteration_log=log,
+                iteration_log=iteration_rows(zip(*log)),
                 objective_trace=trace,
                 violated_counts=violated_counts,
                 table=table,
@@ -379,9 +384,7 @@ def solve_cc_opf(
 
         worst = int(viol.argmax())
         line, kind = int(kept[worst // 2]), _KINDS[worst % 2]
-        log.append(
-            IterationRecord(iteration=it, line=line, kind=kind, violation=float(viol[worst]))
-        )
+        log.append((it, line, kind, float(viol[worst])))
         if add_all_violated:
             lines = kept[np.unique(np.flatnonzero(viol > tol_cut) // 2)]
         else:

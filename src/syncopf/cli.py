@@ -61,9 +61,10 @@ EXIT_CERTIFICATION = 4
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for
-    # infeasibility here, so route usage problems to exit code 1
+    # infeasibility here, so route usage problems to exit code 1, with
+    # one line that names the argument at fault
     def error(self, message):
-        self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -103,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--epsilon", type=float, default=0.01,
                     help="barrier relative suboptimality target")
     sp.add_argument("--tol-cut", type=float, default=1e-7)
-    sp.add_argument("--max-iters", type=int, default=200,
+    sp.add_argument("--max-iters", type=_positive_int, default=200,
                     help="ccopf: cap on cutting-plane iterations (other variants ignore it)")
     sp.add_argument("--add-all-cuts", action="store_true",
                     help="cut every violated line each iteration")
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--dispatch", help="solution report supplying the dispatch")
     src.add_argument("--injections",
                      help="comma-separated bus net injections, or @file.json")
-    sp.add_argument("--max-iters", type=int, default=200)
+    sp.add_argument("--max-iters", type=_positive_int, default=200)
     sp.set_defaults(func=cmd_pf)
 
     sp = sub.add_parser("validate", help="Monte Carlo check of a dispatch report")
@@ -149,9 +150,17 @@ def _load(args):
     return net, chance.replace_defaults(args.eps_line, args.eps_sync, args.eps_gen)
 
 
+def _write(path, payload: bytes) -> None:
+    """payload written to the file at path; a failed write is a SyncOpfError."""
+    try:
+        Path(path).write_bytes(payload)
+    except OSError as exc:
+        raise SyncOpfError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: bytes) -> None:
     if args.out:
-        Path(args.out).write_bytes(payload)
+        _write(args.out, payload)
     else:
         sys.stdout.write(payload.decode())
 
@@ -208,14 +217,14 @@ def cmd_solve(args) -> int:
 
 def _write_plot_data(path, sol) -> None:
     rows = ["iteration,objective,violated_count,line,kind,violation"]
-    cuts_by_iter = {rec.iteration: rec for rec in sol.iteration_log}
+    cuts_by_iter = {rec["iteration"]: rec for rec in sol.iteration_log}
     for i, obj in enumerate(sol.objective_trace, start=1):
         rec = cuts_by_iter.get(i)
         tail = (
-            f"{rec.line},{rec.kind},{rec.violation:.12g}" if rec is not None else ",,"
+            f"{rec['line']},{rec['kind']},{rec['violation']:.12g}" if rec is not None else ",,"
         )
         rows.append(f"{i},{obj:.12g},{sol.violated_counts[i - 1]},{tail}")
-    Path(path).write_text("\n".join(rows) + "\n")
+    _write(path, ("\n".join(rows) + "\n").encode())
 
 
 def _read_dispatch(net, path) -> Dispatch:

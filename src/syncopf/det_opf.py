@@ -37,6 +37,9 @@ from .qp import INFEASIBLE, OPTIMAL, QuadraticProgram, solve_qp
 logger = logging.getLogger(__name__)
 
 DIVERGENCE_FACTOR = 1e6  # the barrier diverges once its objective passes this times C
+TOL_BARRIER = 1e-10  # floor of each barrier stage's residual target
+MAX_STAGES = 80  # barrier stages before NoConvergenceError
+MAX_STAGE_STEPS = 100  # Newton steps of one barrier stage before NoConvergenceError
 
 
 def generation_cost(net: Network, p: np.ndarray) -> float:
@@ -51,17 +54,13 @@ def generation_cost(net: Network, p: np.ndarray) -> float:
 class LinearOpfResult:
     """Dispatch plus linear-model angles and flows.
 
-    flows[k] = beta_k (theta_i - theta_j) in per-unit; duals_balance and
-    duals_flow come straight from the QP (flow duals ordered as all
-    upper limits then all lower limits).
+    flows[k] = beta_k (theta_i - theta_j) in per-unit.
     """
 
     dispatch: Dispatch
     theta: np.ndarray
     flows: np.ndarray
     objective: float
-    duals_balance: float
-    duals_flow: np.ndarray
 
 
 @dataclass
@@ -100,15 +99,13 @@ def _linear_opf(net: Network, flow_limit: np.ndarray) -> LinearOpfResult:
     p = sol.x
     disp = Dispatch(p=p, alpha=np.zeros(ng))
     q = injection_vector(net, disp)
-    theta = net.solve_angles(q)
+    theta = net.laplacian_op.solve(q)
     flows = net.beta * (theta[net.from_index] - theta[net.to_index])
     return LinearOpfResult(
         dispatch=disp,
         theta=theta,
         flows=flows,
         objective=sol.objective + float(np.sum(net.cost_const)),
-        duals_balance=float(sol.duals_eq[0]),
-        duals_flow=sol.duals_in.copy(),
     )
 
 
@@ -117,26 +114,17 @@ def solve_dc_opf(net: Network) -> LinearOpfResult:
     return _linear_opf(net, net.pbar.copy())
 
 
-def solve_scopf(net: Network, margin: float = MARGIN) -> ScopfResult:
+def solve_scopf(net: Network) -> ScopfResult:
     """DC-OPF with synchronization-aware angle caps.
 
-    The per-line flow limit becomes beta * (min(pbar/beta, 1) - margin),
+    The per-line flow limit becomes beta * (min(pbar/beta, 1) - MARGIN),
     which under the linear model bounds |theta_i - theta_j| by the
     effective capacity. The nonlinear power flow is solved at the
     resulting injections and attached as recovery; sync_recovered tells
     whether it stayed off every cap.
     """
-    limit = net.beta * (net.effective_cap - margin)
-    lin = _linear_opf(net, limit)
-    return ScopfResult(
-        dispatch=lin.dispatch,
-        theta=lin.theta,
-        flows=lin.flows,
-        objective=lin.objective,
-        duals_balance=lin.duals_balance,
-        duals_flow=lin.duals_flow,
-        recovery=solve_pf(net, injection_vector(net, lin.dispatch)),
-    )
+    lin = _linear_opf(net, net.beta * (net.effective_cap - MARGIN))
+    return ScopfResult(**vars(lin), recovery=solve_pf(net, injection_vector(net, lin.dispatch)))
 
 
 @dataclass(frozen=True)
@@ -202,7 +190,6 @@ class BarrierResult:
     eps_separation: float
     eta: np.ndarray
     eta_bound: np.ndarray
-    sine_residual: np.ndarray
     recovery: FlowState
     slacksine_ok: bool
     iterations: int
@@ -383,13 +370,7 @@ def _fraction_to_boundary(v: np.ndarray, dv: np.ndarray) -> float:
     return min(1.0, 0.99 * float(np.min(-v[neg] / dv[neg])))
 
 
-def solve_barrier_opf(
-    net: Network,
-    cfg: BarrierConfig,
-    tol: float = 1e-10,
-    max_outer: int = 80,
-    max_inner: int = 100,
-) -> BarrierResult:
+def solve_barrier_opf(net: Network, cfg: BarrierConfig) -> BarrierResult:
     """Solve the barrier reformulation by a primal-dual interior method.
 
     Variables are (p, rho, delta) with the conservation equalities kept
@@ -398,14 +379,15 @@ def solve_barrier_opf(
     delta_k <= u_k and the generator bounds carry explicit multipliers
     z with z s = t on a barrier parameter t that shrinks by 0.15 per
     stage; the formulation's own -phi log(delta) term is carried the
-    same way with the fixed center D beta phi. Each stage runs Newton steps (see _BarrierKkt.step) with a
-    fraction-to-boundary rule and backtracking on the residual's
-    max-norm until that norm is at most max(tol, 1e-3 t). The stages
-    stop once the interior gap t * n_ineq is at most 1e-6 epsilon
-    cost_floor, a millionth of the certificate's epsilon budget.
+    same way with the fixed center D beta phi. Each stage runs Newton
+    steps (see _BarrierKkt.step) with a fraction-to-boundary rule and
+    backtracking on the residual's max-norm until that norm is at most
+    max(TOL_BARRIER, 1e-3 t). The stages stop once the interior gap
+    t * n_ineq is at most 1e-6 epsilon cost_floor, a millionth of the
+    certificate's epsilon budget.
 
-    Raises NoConvergenceError when a stage uses up max_inner steps, its
-    line search fails, or max_outer stages end above that gap.
+    Raises NoConvergenceError when a stage uses up MAX_STAGE_STEPS steps,
+    its line search fails, or MAX_STAGES stages end above that gap.
     Infeasibility of the underlying AC problem surfaces as
     BarrierDivergenceError when the objective passes
     DIVERGENCE_FACTOR * cost_floor.
@@ -430,17 +412,17 @@ def solve_barrier_opf(
     iterations = 0
     stage_objectives: list[float] = []
 
-    for _ in range(max_outer):
+    for _ in range(MAX_STAGES):
         res = kkt.residual(x, nu, z, t)
         rnorm = _max_norm(res)
-        stage_tol = max(tol, 1e-3 * t)
-        for inner in range(max_inner + 1):
+        stage_tol = max(TOL_BARRIER, 1e-3 * t)
+        for inner in range(MAX_STAGE_STEPS + 1):
             if rnorm <= stage_tol:
                 break
-            if inner == max_inner:
+            if inner == MAX_STAGE_STEPS:
                 raise NoConvergenceError(
                     f"barrier stage at t={t:.3e} left residual {rnorm:.3e} "
-                    f"after {max_inner} Newton steps"
+                    f"after {MAX_STAGE_STEPS} Newton steps"
                 )
             iterations += 1
             dx, dnu, dz = kkt.step(x, z, *res)
@@ -471,7 +453,7 @@ def solve_barrier_opf(
         t *= 0.15
     else:
         raise NoConvergenceError(
-            f"barrier gap {t * n_ineq / 0.15:.3e} still open after {max_outer} stages"
+            f"barrier gap {t * n_ineq / 0.15:.3e} still open after {MAX_STAGES} stages"
         )
 
     p_hat, rho_hat, delta_hat = (v.copy() for v in kkt.split(x))
@@ -484,7 +466,6 @@ def solve_barrier_opf(
     eta = np.abs(np.arcsin(rho_hat) - diff)
     eps_sep = float(np.min(delta_hat))
     eta_bound = kkt.phi / (net.effective_cap * eps_sep)
-    sine_residual = np.abs(rho_hat - np.sin(diff))
 
     q = injection_vector(net, Dispatch(p=p_hat, alpha=np.zeros(ng)))
     recovery = solve_pf(net, q)
@@ -510,7 +491,6 @@ def solve_barrier_opf(
         eps_separation=eps_sep,
         eta=eta,
         eta_bound=eta_bound,
-        sine_residual=sine_residual,
         recovery=recovery,
         slacksine_ok=slack_ok,
         iterations=iterations,

@@ -31,6 +31,8 @@ from .network import Dispatch, Network, injection_vector
 
 logger = logging.getLogger(__name__)
 
+MAX_ITER_SLSQP = 500  # SLSQP iteration cap of nonlinear_instanton
+
 
 @dataclass
 class InstantonResult:
@@ -45,7 +47,6 @@ class InstantonResult:
     omega: np.ndarray
     phi: float | None
     residual: float
-    converged: bool
     theta: np.ndarray | None = None
 
 
@@ -59,6 +60,8 @@ def e_dc_closed_form(
     """
     if not 0 <= line < net.n_line:
         raise DomainError(f"line index {line} out of range")
+    if not math.isfinite(rho_threshold):
+        raise DomainError(f"threshold must be finite, got {rho_threshold}")
     sens = net.gap_sensitivity
     mean_gap = float(sens.mean(dispatch, line))
     d = sens.gen[line] @ dispatch.alpha  # the line's own row only
@@ -73,9 +76,7 @@ def e_dc_closed_form(
     omega = sig**2 * coeff * phi
     energy = (mean_gap - rho_threshold) ** 2 / (2.0 * var_form)
     residual = abs(mean_gap + coeff @ omega - rho_threshold)
-    return InstantonResult(
-        energy=energy, omega=omega, phi=phi, residual=residual, converged=True
-    )
+    return InstantonResult(energy=energy, omega=omega, phi=phi, residual=residual)
 
 
 def ld_condition_check(energy: float, eps: float) -> bool:
@@ -87,11 +88,7 @@ def ld_condition_check(energy: float, eps: float) -> bool:
 
 
 def nonlinear_instanton(
-    net: Network,
-    dispatch: Dispatch,
-    line: int,
-    rho_threshold: float,
-    max_iter: int = 500,
+    net: Network, dispatch: Dispatch, line: int, rho_threshold: float
 ) -> InstantonResult:
     """Minimum-action wind fluctuation pinning sin(theta_k - theta_l) at
     the threshold under the full sine balance equations.
@@ -102,7 +99,7 @@ def nonlinear_instanton(
     """
     if not 0 <= line < net.n_line:
         raise DomainError(f"line index {line} out of range")
-    if abs(rho_threshold) > 1.0:
+    if not abs(rho_threshold) <= 1.0:  # NaN fails this too
         raise DomainError(
             f"nonlinear threshold must satisfy |rho| <= 1, got {rho_threshold}"
         )
@@ -172,7 +169,7 @@ def nonlinear_instanton(
     w_full = np.zeros(n)
     w_full[wind] = omega0
     q0 = injection_vector(net, dispatch, wind=w_full)
-    theta0 = net.solve_angles(q0)
+    theta0 = net.laplacian_op.solve(q0)
     z0 = np.concatenate([theta0[keep], omega0])
 
     from scipy.optimize import minimize  # imported here: it is slow to load, and no other call needs it
@@ -186,7 +183,7 @@ def nonlinear_instanton(
             {"type": "eq", "fun": balance, "jac": balance_jac},
             {"type": "eq", "fun": pin, "jac": pin_jac},
         ],
-        options={"maxiter": max_iter, "ftol": 1e-14},
+        options={"maxiter": MAX_ITER_SLSQP, "ftol": 1e-14},
     )
     theta, omega = split(res.x)
     residual = max(
@@ -208,6 +205,5 @@ def nonlinear_instanton(
         omega=omega,
         phi=None,
         residual=residual,
-        converged=True,
         theta=theta,
     )

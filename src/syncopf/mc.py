@@ -85,10 +85,10 @@ _BATCH_SAMPLES = 10  # and at most this many samples; see the module docstring
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def ci_halfwidth(p, n: int, z: float = Z99):
-    """Half-width of the normal-approximation binomial confidence band at
-    probability p, or at each entry of an array p."""
-    return z * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
+def ci_halfwidth(p, n: int):
+    """Half-width of the 99% normal-approximation binomial confidence band
+    at probability p, or at each entry of an array p."""
+    return Z99 * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / n)
 
 
 @dataclass
@@ -149,10 +149,13 @@ def run_mc(
     re-solve costs a Newton solve per sample and is priced accordingly. Raises
     ValidationError when the network has wind and the participation
     factors do not sum to 1, since such a dispatch leaves every wind
-    deviation unbalanced.
+    deviation unbalanced, and for a seed outside [0, 2**128), which
+    cannot key the Philox stream.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if not 0 <= seed < 1 << 128:
+        raise ValidationError(f"seed must lie in [0, 2**128), got {seed}")
     alpha_sum = float(np.sum(dispatch.alpha))
     if net.wind_index.size and abs(alpha_sum - 1.0) > 1e-6:
         raise ValidationError(
@@ -232,9 +235,10 @@ def run_mc(
     ranges = [(lo, hi, np.empty((min(step, hi - lo), n_w))) for lo, hi in zip(bounds, bounds[1:])]
     # the other parts are queued before this thread takes the first one
     futures = [_pool(_WORKERS - 1).submit(tally, *r) for r in ranges[1:]]
+    counts = []
     try:
-        counts = [tally(*ranges[0])]
-    finally:
+        counts.append(tally(*ranges[0]))
+    finally:  # the pool's ranges are joined before an error of the first surfaces
         counts += [f.result() for f in futures]
     lines, gens, events = (sum(c) for c in zip(*counts))  # integers: any order is exact
     th_pos, th_neg, sy_pos, sy_neg, nl_th, nl_sy = lines

@@ -478,11 +478,6 @@ class Network:
         chord_map[chords, np.arange(chords.size)] = 1.0
         return SpanningTree(tree, chords, keep, lu, chord_map)
 
-    def solve_angles(self, q: np.ndarray) -> np.ndarray:
-        """Linear-model angles with ``B theta = q`` and the slack grounded
-        at 0 (the slack entry of ``q`` is ignored)."""
-        return self.laplacian_op.solve(q)
-
 
 def injection_vector(net: Network, dispatch: Dispatch, wind: np.ndarray | None = None) -> np.ndarray:
     """Net bus injections under a dispatch and a wind realization.

@@ -56,7 +56,10 @@ from .network import Network
 
 logger = logging.getLogger(__name__)
 
-MARGIN = 1e-6
+MARGIN = 1e-6  # offset turning each strict |rho| cap into a closed one
+TOL_GRAD = 1e-10  # solve_pf's Newton stops at this max|gradient| over the chord flows
+TOL_ENERGY = 1e-9  # energy_function_solve stops at this max|residual| of the sine balance
+MAX_ITER_ENERGY = 100  # its Newton step cap
 
 
 def psi(x):
@@ -139,9 +142,9 @@ class FlowBatch:
     """Result of solve_pf_batch, one row (or entry) per sample.
 
     rho are the per-arc sines clipped to the caps; boundary_hit marks the
-    samples pinned within 10*margin of a cap; iterations counts the Newton
+    samples pinned within 10*MARGIN of a cap; iterations counts the Newton
     steps taken plus one (0 on a tree); failed marks the samples whose
-    gradient is still above tol after max_iter steps, and residual holds
+    gradient is still above TOL_GRAD after max_iter steps, and residual holds
     each sample's final max|gradient| over the chord flows.
     """
 
@@ -156,8 +159,6 @@ def solve_pf_batch(
     net: Network,
     injections: np.ndarray,
     enforce_thermal_cap: bool = True,
-    margin: float = MARGIN,
-    tol: float = 1e-10,
     max_iter: int = 200,
 ) -> FlowBatch:
     """Solve the convex lossless power flow for each row of an (S, n) stack
@@ -168,9 +169,9 @@ def solve_pf_batch(
     product is stacked per sample, so each row's result depends on that
     row alone and not on the rows solved with it. The working set is the
     S * c^2 doubles of the stacked chord Hessians (c chords) and a few
-    S * n_line arrays of flows and their psi terms. Options as in
-    solve_pf; a sample that misses tol within max_iter steps is marked
-    failed instead of raising.
+    S * n_line arrays of flows and their psi terms. enforce_thermal_cap
+    and max_iter as in solve_pf; a sample that misses TOL_GRAD within
+    max_iter steps is marked failed instead of raising.
     """
     q = np.asarray(injections, dtype=float)
     if q.ndim != 2 or q.shape[1] != net.n_bus:
@@ -188,7 +189,7 @@ def solve_pf_batch(
         cap_full = net.effective_cap
     else:
         cap_full = np.ones(net.n_line)
-    cap = cap_full - margin
+    cap = cap_full - MARGIN
 
     basis = net.spanning_tree
     f0 = basis.particular_flow(q)
@@ -215,7 +216,7 @@ def solve_pf_batch(
         # method forms: numpy's function wrappers cost microseconds a step,
         # as much as a whole step's arithmetic on a one-chord grid
         gnorm = np.abs(grad).max(axis=1)
-        done = gnorm <= tol
+        done = gnorm <= TOL_GRAD
         iterations[run[done]] = it
         residual[run[done]] = gnorm[done]
         run, grad, gnorm = run[~done], grad[~done], gnorm[~done]
@@ -258,7 +259,7 @@ def solve_pf_batch(
 
     return FlowBatch(
         rho=np.clip(rho, -cap, cap),
-        boundary_hit=(np.abs(rho) >= cap_full - 10.0 * margin).any(axis=1),
+        boundary_hit=(np.abs(rho) >= cap_full - 10.0 * MARGIN).any(axis=1),
         iterations=iterations,
         failed=failed,
         residual=residual,
@@ -269,8 +270,6 @@ def solve_pf(
     net: Network,
     injections: np.ndarray,
     enforce_thermal_cap: bool = True,
-    margin: float = MARGIN,
-    tol: float = 1e-10,
     max_iter: int = 200,
 ) -> FlowState:
     """Solve the convex lossless power flow for balanced injections.
@@ -286,17 +285,17 @@ def solve_pf(
         When True the per-arc cap is min(1, pbar/beta); when False only
         the synchronization cap |rho| < 1 applies (used by Monte Carlo
         counting, where thermal overloads are events, not constraints).
-    margin : float
-        Offset turning the strict cap into a closed one.
-    tol, max_iter : float, int
-        Newton ends once max|gradient| over the chord flows is <= tol;
-        NoConvergenceError when max_iter iterations do not get there.
+        Each cap is closed by MARGIN.
+    max_iter : int
+        Newton ends once max|gradient| over the chord flows is at most
+        TOL_GRAD; NoConvergenceError when max_iter iterations do not get
+        there.
 
     Returns
     -------
     FlowState
         With boundary_hit True (and feasible False) when the optimum is
-        pinned within 10*margin of a cap, the loss-of-synchrony
+        pinned within 10*MARGIN of a cap, the loss-of-synchrony
         signal; iterations is the Newton steps taken plus one (0 on a tree).
     """
     q = np.asarray(injections, dtype=float)
@@ -304,10 +303,10 @@ def solve_pf(
         raise UnbalancedInjectionsError(
             f"injection vector length {q.shape} != ({net.n_bus},)"
         )
-    batch = solve_pf_batch(net, q[None, :], enforce_thermal_cap, margin, tol, max_iter)
+    batch = solve_pf_batch(net, q[None, :], enforce_thermal_cap, max_iter)
     if batch.failed[0]:
         raise NoConvergenceError(
-            f"pf newton gradient {batch.residual[0]:.3e} above {tol:.1e} "
+            f"pf newton gradient {batch.residual[0]:.3e} above {TOL_GRAD:.1e} "
             f"after {max_iter} iterations"
         )
     rho = batch.rho[0]
@@ -322,12 +321,7 @@ def solve_pf(
     )
 
 
-def energy_function_solve(
-    net: Network,
-    injections: np.ndarray,
-    tol: float = 1e-9,
-    max_iter: int = 100,
-) -> FlowState:
+def energy_function_solve(net: Network, injections: np.ndarray) -> FlowState:
     """Minimize the energy function in angle space as an independent check.
 
     V(theta) = [sum_k beta_k (1 - cos(theta_i - theta_j)) - theta . q] / 2;
@@ -351,13 +345,10 @@ def energy_function_solve(
         diff = a_red.T @ tr
         return 0.5 * (np.sum(beta * (1.0 - np.cos(diff))) - tr @ q_red)
 
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_ITER_ENERGY + 1):
         diff = a_red.T @ theta_red
         residual = a_red @ (beta * np.sin(diff)) - q_red
-        if np.max(np.abs(residual), initial=0.0) <= tol:
-            converged = True
+        if np.max(np.abs(residual), initial=0.0) <= TOL_ENERGY:
             break
         weights = beta * np.cos(diff)
         # keep the Newton matrix positive definite; the line search on
@@ -383,14 +374,13 @@ def energy_function_solve(
                 break
             t *= 0.5
         theta_red = theta_red + t * step
-
-    if not converged:
+    else:  # the last step's residual is still unchecked
         diff = a_red.T @ theta_red
         residual = a_red @ (beta * np.sin(diff)) - q_red
-        if np.max(np.abs(residual), initial=0.0) > tol:
+        if np.max(np.abs(residual), initial=0.0) > TOL_ENERGY:
             raise NoConvergenceError(
                 f"energy newton residual {np.max(np.abs(residual)):.3e} after "
-                f"{max_iter} iterations"
+                f"{MAX_ITER_ENERGY} iterations"
             )
 
     theta = np.zeros(n)

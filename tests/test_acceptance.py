@@ -287,7 +287,7 @@ def test_criterion_7_cutting_plane_behavior():
     assert np.all(net.pbar < net.beta)  # every cap is below the sync limit
     assert np.max(chance.eps_sync) <= 1e-4 * np.min(chance.eps_line)
     sol = solve_cc_opf(net, chance)
-    kinds = {rec.kind for rec in sol.iteration_log}
+    kinds = {rec["kind"] for rec in sol.iteration_log}
     assert {"thermal", "sync"} <= kinds
     print(f"criterion 7: PASS (9-bus in {sol.iterations} iterations; "
           f"alternation kinds {sorted(kinds)})")

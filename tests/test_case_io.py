@@ -20,8 +20,8 @@ from syncopf import (
 )
 from syncopf.case_io import (
     GENERATOR_FIELDS,
+    ITERATION_FIELDS,
     LINE_FIELDS,
-    IterationRecord,
     parse_case_dict,
     read_flow_table,
     report_from_dict,
@@ -59,6 +59,10 @@ def gen_row(gen, bus, prob_bounds):
     return dict(zip(GENERATOR_FIELDS, (gen, bus, prob_bounds)))
 
 
+def iteration_row(iteration, line, kind, violation):
+    return dict(zip(ITERATION_FIELDS, (iteration, line, kind, violation)))
+
+
 def sample_report():
     return SolutionReport(
         variant="ccopf",
@@ -72,8 +76,8 @@ def sample_report():
         ],
         generators=[gen_row(0, 1, 0.003), gen_row(1, 3, 0.0)],
         iterations=[
-            IterationRecord(1, 0, "thermal", 0.02),
-            IterationRecord(2, 0, "sync", 0.001),
+            iteration_row(1, 0, "thermal", 0.02),
+            iteration_row(2, 0, "sync", 0.001),
         ],
     )
 
@@ -243,7 +247,7 @@ def test_report_json_round_trip():
     assert back.variant == rep.variant and back.status == rep.status
     assert back.objective == pytest.approx(rep.objective, rel=1e-11)
     assert back.lines[0]["binding_thermal"] and not back.lines[1]["binding_thermal"]
-    assert [it.kind for it in back.iterations] == ["thermal", "sync"]
+    assert [it["kind"] for it in back.iterations] == ["thermal", "sync"]
     assert back.p == pytest.approx(rep.p)
 
 
@@ -308,7 +312,7 @@ def test_report_validation():
             alpha=[1.0],
             lines=[],
             generators=[],
-            iterations=[IterationRecord(2, 0, "thermal", 0.1), IterationRecord(2, 0, "sync", 0.1)],
+            iterations=[iteration_row(2, 0, "thermal", 0.1), iteration_row(2, 0, "sync", 0.1)],
         )
 
 
@@ -346,7 +350,7 @@ def test_report_whole_numbers_written_as_floats_still_read():
         _set(doc, path, float(whole))
     back = report_from_dict(doc)
     assert back.lines[1]["line"] == 1 and type(back.lines[1]["line"]) is int
-    assert type(back.generators[1]["bus"]) is int and back.iterations[1].iteration == 2
+    assert type(back.generators[1]["bus"]) is int and back.iterations[1]["iteration"] == 2
 
 
 def test_report_number_beyond_float_range_is_parse_error():

@@ -382,7 +382,10 @@ def test_ccopf_plot_data_matches_golden_bytes(case, golden, capsys, tmp_path):
      "pf_case9_wind.json"),
     (["risk", "--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json"),
       "--line", "4,5", "--threshold", "0.5", "--eps", "0.01"], "risk_case9_wind.json"),
-], ids=["ccopf-csv-case9", "ccopf-csv-mesh100", "pf-case9", "risk-case9"])
+    (["solve", "barrier", "--case", "cases/case9_wind.json"], "barrier_case9_wind_bytes.json"),
+    (["solve", "barrier", "--case", str(DATA / "mesh100.json")], "barrier_mesh100_bytes.json"),
+], ids=["ccopf-csv-case9", "ccopf-csv-mesh100", "pf-case9", "risk-case9", "barrier-case9",
+        "barrier-mesh100"])
 def test_report_readers_and_csv_match_golden_bytes(argv, golden, capsys):
     code, out = run(capsys, argv)
     assert code == 0
@@ -472,6 +475,40 @@ def test_validate_rejects_nonpositive_samples(samples, capsys):
     code = main(["validate", "--case", "cases/case9_wind.json",
                  "--dispatch", str(DATA / "ccopf_case9_wind.json"), "--samples", samples])
     assert code == EXIT_USAGE
+
+
+CASE9_DISPATCH = ["--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["risk", *CASE9_DISPATCH, "--line", "4,5", "--threshold", "nan", "--eps", "0.01"],
+    ["risk", *CASE9_DISPATCH, "--line", "4,5", "--threshold", "inf", "--eps", "0.01"],
+    ["risk", *CASE9_DISPATCH, "--line", "4,5", "--threshold", "nan", "--eps", "0.01", "--nonlinear"],
+    ["solve", "ccopf", "--case", "cases/case9_wind.json", "--max-iters", "0"],
+    ["solve", "ccopf", "--case", "cases/case9_wind.json", "--max-iters", "-3"],
+    ["pf", *CASE9_DISPATCH, "--max-iters", "0"],
+    ["solve", "ccopf", "--case", "cases/case9_wind.json", "--tol-cut", "nan"],
+    ["solve", "ccopf", "--case", "cases/case9_wind.json", "--tol-cut", "-1"],
+    ["solve", "dc", "--case", "cases/case9_wind.json", "--out", "MISSING/report.json"],
+    ["solve", "ccopf", "--case", "cases/case9_wind.json", "--emit-plot-data", "MISSING/plot.csv"],
+    ["validate", *CASE9_DISPATCH, "--samples", "100", "--seed", "-1"],
+    ["validate", *CASE9_DISPATCH, "--samples", "100", "--seed", str(2**128)],
+], ids=["threshold-nan", "threshold-inf", "nonlinear-threshold-nan", "ccopf-max-iters-0",
+        "ccopf-max-iters-negative", "pf-max-iters-0", "tol-cut-nan", "tol-cut-negative",
+        "out-missing-dir", "plot-data-missing-dir", "seed-negative", "seed-two-to-the-128"])
+def test_bad_argument_is_one_line_usage_error(argv, tmp_path, capsys):
+    argv = [arg.replace("MISSING", str(tmp_path / "missing")) for arg in argv]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_validate_takes_largest_seed(capsys):
+    # the seed keys a Philox stream: [0, 2**128) are its keys
+    code, out = run(capsys, ["validate", *CASE9_DISPATCH, "--samples", "100",
+                             "--seed", str(2**128 - 1)])
+    assert code in (0, 4) and json.loads(out)["mc"]["seed"] == 2**128 - 1
 
 
 def test_emit_plot_data(tmp_path, capsys):

@@ -213,19 +213,20 @@ def test_barrier_stage_objectives_nonincreasing():
 def test_barrier_stages_end_converged(case):
     net, _ = parse_case(case)
     res = solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01))
-    # fewer Newton steps in all than one stage's max_inner (100), so no
-    # stage can have reached it
+    # fewer Newton steps in all than one stage's MAX_STAGE_STEPS (100), so
+    # no stage can have reached it
     assert res.iterations < 100
     assert res.residual <= 1e-8
 
 
 @pytest.mark.parametrize(
-    "limit", [{"max_inner": 1}, {"max_outer": 3}], ids=["max_inner", "max_outer"]
+    "limit, value", [("MAX_STAGE_STEPS", 1), ("MAX_STAGES", 3)], ids=["max_inner", "max_outer"]
 )
-def test_barrier_exhausted_limit_raises(limit):
+def test_barrier_exhausted_limit_raises(limit, value, monkeypatch):
     net, _ = parse_case(CASE9)
+    monkeypatch.setattr(det_opf, limit, value)
     with pytest.raises(NoConvergenceError):
-        solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01), **limit)
+        solve_barrier_opf(net, barrier_config_from_dc(net, epsilon=0.01))
 
 
 @pytest.mark.parametrize("case", [CASE9, MESH100], ids=["case9", "mesh100"])

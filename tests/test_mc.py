@@ -424,3 +424,24 @@ def test_invalid_sample_count():
     disp = Dispatch(p=np.array([0.8]), alpha=np.array([1.0]))
     with pytest.raises(ValueError):
         run_mc(net, disp, n_samples=0, seed=1)
+
+
+def test_error_of_first_range_surfaces_after_the_others(monkeypatch):
+    # two sample ranges; the calling thread's (from sample 0) fails at its
+    # first draw, the pool's runs to its end before the error surfaces
+    net = mesh()
+    disp = Dispatch(p=np.array([0.7, 0.5]), alpha=np.array([0.5, 0.5]))
+    monkeypatch.setattr(mc_mod, "_WORKERS", 2)
+    monkeypatch.setattr(mc_mod, "_CHUNK_TARGET", 50 * net.n_line)
+    normals, drawn = mc_mod._normals, []
+
+    def failing_first(seed, start, out):
+        if start == 0:
+            raise RuntimeError("draw failed")
+        drawn.append(normals(seed, start, out).shape[0])
+        return out
+
+    monkeypatch.setattr(mc_mod, "_normals", failing_first)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        run_mc(net, disp, n_samples=200, seed=5, nonlinear=False)
+    assert sum(drawn) == 100
