@@ -21,6 +21,15 @@ topology, limits, and polynomial costs; resistance and voltage data are
 dropped with a logged warning since the model is lossless and
 voltage-uniform.
 
+parse_case_dict reads buses, generators and lines as columns, one array
+per field, and hands them to Network as they are: no entry object is made.
+A column of plain numbers is converted in one step; any other column is
+read value by value by _whole or _number. The rules of Bus, Generator and
+Line (network.BUS_RULES, ...) are checked as array predicates on the
+columns. A malformed case raises the error that reading its entries one by
+one would raise: that of the first entry with a field of the wrong kind or
+a broken rule, the first such field or rule of that entry.
+
 Reports serialize deterministically through one writer, write_json:
 fixed key order, json's indent=2 layout, floats rounded to 12
 significant digits, so byte-identical runs are byte-identical files.
@@ -41,7 +50,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .network import Bus, Generator, Line, Network
+from .network import (BUS_RULES, GENERATOR_RULES, LINE_RULES, Bus, Generator, Line, Network,
+                      entry_columns, first_broken, id_column)
 
 logger = logging.getLogger(__name__)
 
@@ -75,7 +85,7 @@ class ChanceSpec:
         for name in ("eps_line", "eps_sync", "eps_gen"):
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
-            if np.any(arr <= 0.0) or np.any(arr > 0.5):
+            if np.count_nonzero((arr <= 0.0) | (arr > 0.5)):
                 raise ValidationError(f"{name} entries must lie in (0, 0.5]")
 
     @classmethod
@@ -152,54 +162,98 @@ def _number(entry: dict, key: str, default: float | None = None) -> float:
         raise ValueError(f"field '{key}': {exc}") from None
 
 
-def _entries(doc: dict, name: str, ctx: str, make) -> list:
-    """make(entry) for every entry of the list doc[name]. An error names
-    the entry by its index; the message is built only when one is raised."""
-    out = []
+def _column(entries: list, key: str, whole: bool, default) -> tuple[np.ndarray, Exception | None]:
+    """The values of key in entries, read by _whole or by _number with its
+    default (None where the key is required), as an array, and the error of
+    the first entry that cannot be read (None if every entry can): the
+    array then holds the values of the entries before it. A column of plain
+    ints (or floats, for a float field), as json.loads reads numbers, is
+    converted whole."""
     try:
-        for entry in _require(doc, name, ctx):
-            out.append(make(entry))
+        try:
+            raw = list(map(itemgetter(key), entries))
+        except KeyError:
+            if default is None:
+                raise
+            raw = [entry.get(key, default) for entry in entries]
+        if set(map(type, raw)) <= ({int} if whole else {float, int}):
+            return (id_column(raw) if whole else np.fromiter(raw, float, len(raw))), None
+    except (KeyError, TypeError, AttributeError, OverflowError):
+        pass
+    values, error = [], None
+    try:
+        for entry in entries:
+            values.append(_whole(entry, key) if whole else _number(entry, key, default))
     except KeyError as exc:
-        raise ParseError(f"{ctx}: {name}[{len(out)}]: missing required field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{ctx}: {name}[{len(out)}]: {exc}") from exc
-    return out
+        error = ValueError(f"missing required field {exc}")
+    except (TypeError, ValueError, AttributeError) as exc:
+        error = exc
+    return (id_column(values) if whole else np.array(values, dtype=float)), error
 
 
-def _bus(b: dict) -> Bus:
-    return Bus(id=_whole(b, "id"), demand=_number(b, "d", 0.0),
-               wind_mean=_number(b, "mu", 0.0), wind_sigma=_number(b, "sigma", 0.0))
+# The fields of a case's buses, generators and lines: each entry field, its
+# key in the case, whether it is a whole number, and its default (None where
+# the key is required), in the order an entry's fields are read.
+_BUS_KEYS = (("id", "id", True, None), ("demand", "d", False, 0.0),
+             ("wind_mean", "mu", False, 0.0), ("wind_sigma", "sigma", False, 0.0))
+_GENERATOR_KEYS = (("bus", "bus", True, None), ("pmin", "pmin", False, None),
+                   ("pmax", "pmax", False, None), ("c1", "c1", False, 0.0),
+                   ("c2", "c2", False, 0.0), ("c3", "c3", False, 0.0))
+_LINE_KEYS = (("from_bus", "from", True, None), ("to_bus", "to", True, None),
+              ("beta", "beta", False, None), ("pbar", "pbar", False, None))
 
 
-def _generator(g: dict) -> Generator:
-    return Generator(bus=_whole(g, "bus"), pmin=_number(g, "pmin"), pmax=_number(g, "pmax"),
-                     c1=_number(g, "c1", 0.0), c2=_number(g, "c2", 0.0),
-                     c3=_number(g, "c3", 0.0))
+def _entries(doc: dict, name: str, ctx: str, keys: tuple, rules: tuple) -> dict:
+    """The list doc[name] as one column per entry field, checked as if
+    entry by entry: the first entry that holds a field of the wrong kind
+    (a ParseError naming the entry by its index) or breaks one of rules
+    (that rule's error) is the one reported."""
+    try:
+        entries = list(_require(doc, name, ctx))
+    except TypeError as exc:
+        raise ParseError(f"{ctx}: {name}[0]: {exc}") from exc
+    columns, bad, error = {}, len(entries), None
+    for field_name, key, whole, default in keys:
+        column, field_error = _column(entries, key, whole, default)
+        columns[field_name] = column
+        if field_error is not None and column.size < bad:
+            bad, error = column.size, field_error
+    # the entries before the first unreadable one, checked against the rules
+    broken = first_broken(rules, columns if error is None else
+                          {key: column[:bad] for key, column in columns.items()})
+    if broken is not None:
+        raise broken
+    if error is not None:
+        raise ParseError(f"{ctx}: {name}[{bad}]: {error}") from error
+    return columns
 
 
-def _line(l: dict) -> Line:
-    return Line(from_bus=_whole(l, "from"), to_bus=_whole(l, "to"),
-                beta=_number(l, "beta"), pbar=_number(l, "pbar"))
-
-
-def _merge_parallel(lines: list[Line]) -> list[Line]:
-    merged: dict[tuple[int, int], Line] = {}
-    order: list[tuple[int, int]] = []
-    for ln in lines:
-        key = (min(ln.from_bus, ln.to_bus), max(ln.from_bus, ln.to_bus))
-        if key in merged:
-            old = merged[key]
-            logger.info(
-                "merging parallel line %s-%s (beta %+g, pbar %+g)",
-                ln.from_bus, ln.to_bus, ln.beta, ln.pbar,
-            )
-            merged[key] = Line(
-                old.from_bus, old.to_bus, beta=old.beta + ln.beta, pbar=old.pbar + ln.pbar
-            )
-        else:
-            merged[key] = ln
-            order.append(key)
-    return [merged[k] for k in order]
+def _merge_parallel(lines: dict) -> dict:
+    """The line columns with parallel lines (one bus pair, in either
+    orientation) merged into the first of them, beta and pbar summed in
+    line order."""
+    low = np.minimum(lines["from_bus"], lines["to_bus"])
+    high = np.maximum(lines["from_bus"], lines["to_bus"])
+    order = np.lexsort((high, low))  # by bus pair, each pair's lines in line order
+    low, high = low[order], high[order]
+    starts = np.concatenate([[True], (low[1:] != low[:-1]) | (high[1:] != high[:-1])])
+    if starts.all():
+        return lines
+    first = np.empty_like(order)  # the first line of each line's bus pair
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    rows = list(zip(*(column.tolist() for column in lines.values())))
+    sums = {}  # first line of a pair -> the pair's lines so far, merged
+    for k in np.flatnonzero(first != np.arange(first.size)).tolist():
+        old = sums.get(first[k]) or Line(*rows[first[k]])
+        frm, to, beta, pbar = rows[k]
+        logger.info("merging parallel line %s-%s (beta %+g, pbar %+g)", frm, to, beta, pbar)
+        sums[first[k]] = Line(old.from_bus, old.to_bus, beta=old.beta + beta, pbar=old.pbar + pbar)
+    keep = np.flatnonzero(first == np.arange(first.size))
+    merged = {key: column[keep] for key, column in lines.items()}
+    slots = np.searchsorted(keep, list(sums))
+    merged["beta"][slots] = [line.beta for line in sums.values()]
+    merged["pbar"][slots] = [line.pbar for line in sums.values()]
+    return merged
 
 
 def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
@@ -209,11 +263,11 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     if version != SCHEMA_VERSION:
         raise ParseError(f"{ctx}: unrecognized schema_version {version!r}")
 
-    buses = _entries(doc, "buses", ctx, _bus)
-    gens = _entries(doc, "generators", ctx, _generator)
-    if not gens:
+    buses = _entries(doc, "buses", ctx, _BUS_KEYS, BUS_RULES)
+    gens = _entries(doc, "generators", ctx, _GENERATOR_KEYS, GENERATOR_RULES)
+    if not gens["bus"].size:
         raise ValidationError(f"{ctx}: at least one generator required")
-    lines = _merge_parallel(_entries(doc, "lines", ctx, _line))
+    lines = _merge_parallel(_entries(doc, "lines", ctx, _LINE_KEYS, LINE_RULES))
 
     try:
         slack = _whole(doc, "slack_bus") if doc.get("slack_bus") is not None else None
@@ -222,6 +276,8 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     net = Network(buses, gens, lines, slack_bus=slack)
 
     chance_doc = doc.get("chance", {})
+    if not isinstance(chance_doc, dict):
+        raise ParseError(f"{ctx}: chance: must be an object, not {type(chance_doc).__name__}")
     try:
         spec = ChanceSpec.uniform(
             net,
@@ -231,11 +287,18 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
         )
     except ValueError as exc:
         raise ParseError(f"{ctx}: chance: {exc}") from exc
+    overrides = chance_doc.get("overrides", [])
+    if not isinstance(overrides, list):
+        raise ParseError(f"{ctx}: chance.overrides: must be a list, not {type(overrides).__name__}")
+    if not overrides:
+        return net, spec
     eps_line = spec.eps_line.copy()
     eps_sync = spec.eps_sync.copy()
     eps_gen = spec.eps_gen.copy()
-    for i, ov in enumerate(chance_doc.get("overrides", [])):
+    for i, ov in enumerate(overrides):
         c = f"{ctx}: chance.overrides[{i}]"
+        if not isinstance(ov, dict):
+            raise ParseError(f"{c}: must be an object, not {type(ov).__name__}")
         try:
             if "gen" in ov:
                 gi = _whole(ov, "gen")
@@ -694,5 +757,5 @@ def import_matpower(path) -> tuple[Network, ChanceSpec]:
             )
         )
 
-    net = Network(buses, gens, _merge_parallel(lines))
+    net = Network(buses, gens, _merge_parallel(entry_columns(lines, Line)))
     return net, ChanceSpec.uniform(net)

@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -176,12 +175,12 @@ def _report_from_dispatch(net, variant, status, objective, dispatch, mean_flow,
         dispatch.p, dispatch.alpha, net.pmin, net.pmax, sigma_tot
     )
     lines = line_rows((
-        range(net.n_line), map(attrgetter("from_bus"), net.lines), map(attrgetter("to_bus"), net.lines),
+        range(net.n_line), net.bus_ids[net.from_index].tolist(), net.bus_ids[net.to_index].tolist(),
         np.asarray(mean_flow, dtype=float).tolist(), prob_t.tolist(), prob_s.tolist(),
         np.asarray(binding_t, dtype=bool).tolist(), np.asarray(binding_s, dtype=bool).tolist(),
     ))
     gens = generator_rows((
-        range(net.n_gen), map(attrgetter("bus"), net.generators), prob_g.tolist(),
+        range(net.n_gen), net.bus_ids[net.gen_bus_index].tolist(), prob_g.tolist(),
     ))
     return SolutionReport(variant=variant, status=status, objective=float(objective),
                           p=dispatch.p.tolist(), alpha=dispatch.alpha.tolist(),

@@ -16,8 +16,7 @@ the lossless AC model.
 from __future__ import annotations
 
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -35,8 +34,74 @@ from .errors import (
 logger = logging.getLogger(__name__)
 
 
+def first_broken(rules, values) -> ValidationError | None:
+    """The error of the first entry in values that breaks one of rules, or None.
+
+    values maps each field of an entry type to one entry's value or to a
+    column of values, one per entry. A rule is (broken, error class,
+    message): broken(values) marks the entries that break it, and the
+    message is formatted with the entry's fields. Of the rules that the
+    first such entry breaks, the first in order is the one raised.
+    """
+    first = None
+    for broken, error, message in rules:
+        hits = np.asarray(broken(values))
+        if np.count_nonzero(hits) and (first is None or hits.argmax() < first[0]):
+            first = hits.argmax(), error, message
+    if first is None:
+        return None
+    i, error, message = first
+    return error(message.format(**{key: value[i:i + 1].tolist()[0] if np.ndim(value) else value
+                                   for key, value in values.items()}))
+
+
+def _not_finite_or_negative(x):
+    return ~np.isfinite(x) | (x < 0)
+
+
+def _not_finite_or_positive(x):
+    return ~np.isfinite(x) | (x <= 0)
+
+
+# The rules of each entry type, which its constructor checks and the case
+# parser checks column by column.
+BUS_RULES = (
+    (lambda b: _not_finite_or_negative(b["demand"]), ValidationError,
+     "bus {id}: demand must be finite and >= 0"),
+    (lambda b: _not_finite_or_negative(b["wind_sigma"]), ValidationError,
+     "bus {id}: wind_sigma must be finite and >= 0"),
+    (lambda b: ~np.isfinite(b["wind_mean"]), ValidationError, "bus {id}: wind_mean must be finite"),
+)
+GENERATOR_RULES = (
+    (lambda g: ~(np.isfinite(g["pmin"]) & np.isfinite(g["pmax"])), ValidationError,
+     "generator at bus {bus}: bounds must be finite"),
+    (lambda g: g["pmin"] > g["pmax"], ValidationError,
+     "generator at bus {bus}: pmin {pmin} > pmax {pmax}"),
+    (lambda g: g["c1"] < 0, ValidationError, "generator at bus {bus}: c1 must be >= 0"),
+)
+LINE_RULES = (
+    (lambda l: l["from_bus"] == l["to_bus"], ValidationError,
+     "line {from_bus}-{to_bus}: self-loop"),
+    (lambda l: _not_finite_or_positive(l["beta"]), NonPositiveSusceptanceError,
+     "line {from_bus}-{to_bus}: beta must be > 0, got {beta}"),
+    (lambda l: _not_finite_or_positive(l["pbar"]), ValidationError,
+     "line {from_bus}-{to_bus}: pbar must be > 0, got {pbar}"),
+)
+
+
+class _Entry:
+    """An entry checked against the RULES of its type when it is made."""
+
+    RULES = ()
+
+    def __post_init__(self):
+        error = first_broken(self.RULES, vars(self))
+        if error is not None:
+            raise error
+
+
 @dataclass(frozen=True)
-class Bus:
+class Bus(_Entry):
     """A single bus.
 
     Parameters
@@ -52,23 +117,19 @@ class Bus:
         belongs to the wind set exactly when this is positive.
     """
 
+    RULES = BUS_RULES
+
     id: int
     demand: float = 0.0
     wind_mean: float = 0.0
     wind_sigma: float = 0.0
 
-    def __post_init__(self):
-        if self.demand < 0 or not math.isfinite(self.demand):
-            raise ValidationError(f"bus {self.id}: demand must be finite and >= 0")
-        if self.wind_sigma < 0 or not math.isfinite(self.wind_sigma):
-            raise ValidationError(f"bus {self.id}: wind_sigma must be finite and >= 0")
-        if not math.isfinite(self.wind_mean):
-            raise ValidationError(f"bus {self.id}: wind_mean must be finite")
-
 
 @dataclass(frozen=True)
-class Generator:
+class Generator(_Entry):
     """A dispatchable generator with quadratic cost c1*p^2 + c2*p + c3."""
+
+    RULES = GENERATOR_RULES
 
     bus: int
     pmin: float
@@ -77,41 +138,41 @@ class Generator:
     c2: float = 0.0
     c3: float = 0.0
 
-    def __post_init__(self):
-        if not (math.isfinite(self.pmin) and math.isfinite(self.pmax)):
-            raise ValidationError(f"generator at bus {self.bus}: bounds must be finite")
-        if self.pmin > self.pmax:
-            raise ValidationError(
-                f"generator at bus {self.bus}: pmin {self.pmin} > pmax {self.pmax}"
-            )
-        if self.c1 < 0:
-            raise ValidationError(f"generator at bus {self.bus}: c1 must be >= 0")
-
 
 @dataclass(frozen=True)
-class Line:
+class Line(_Entry):
     """A transmission line (arc) from ``from_bus`` to ``to_bus``.
 
     ``beta`` is the susceptance weight (strictly positive) and ``pbar``
     the thermal flow limit in per-unit.
     """
 
+    RULES = LINE_RULES
+
     from_bus: int
     to_bus: int
     beta: float
     pbar: float
 
-    def __post_init__(self):
-        if self.from_bus == self.to_bus:
-            raise ValidationError(f"line {self.from_bus}-{self.to_bus}: self-loop")
-        if not math.isfinite(self.beta) or self.beta <= 0:
-            raise NonPositiveSusceptanceError(
-                f"line {self.from_bus}-{self.to_bus}: beta must be > 0, got {self.beta}"
-            )
-        if not math.isfinite(self.pbar) or self.pbar <= 0:
-            raise ValidationError(
-                f"line {self.from_bus}-{self.to_bus}: pbar must be > 0, got {self.pbar}"
-            )
+
+def id_column(ids) -> np.ndarray:
+    """Whole-number ids as int64, or as Python ints where one is beyond int64."""
+    try:
+        return np.fromiter(ids, np.int64, len(ids))
+    except OverflowError:
+        return np.array(ids, dtype=object)
+
+
+def entry_columns(entries, kind) -> dict:
+    """entries, a list of kind (Bus, Generator or Line), as one column per
+    field; columns, as the case parser reads them, are returned as they are."""
+    if isinstance(entries, dict):
+        return entries
+    columns = {}
+    for f in fields(kind):
+        column = [getattr(e, f.name) for e in entries]
+        columns[f.name] = id_column(column) if f.type == "int" else np.array(column)
+    return columns
 
 
 @dataclass(frozen=True)
@@ -326,104 +387,124 @@ class Network:
 
     Buses may appear in any order; internally they are sorted by id and
     all arrays are aligned to that order. The slack bus defaults to the
-    highest bus id unless given explicitly.
+    highest bus id unless given explicitly. buses, generators and lines
+    are each a list of entries (Bus, Generator, Line) or, as the case
+    parser passes them, a dict of one column per entry field. The entry
+    lists ``buses`` (in id order), ``generators`` and ``lines`` are built
+    from the arrays on first read.
     """
 
-    def __init__(
-        self,
-        buses: list[Bus],
-        generators: list[Generator],
-        lines: list[Line],
-        slack_bus: int | None = None,
-    ):
-        if not buses:
+    def __init__(self, buses, generators, lines, slack_bus: int | None = None):
+        buses, gens, lines = (entry_columns(entries, kind) for entries, kind in
+                              ((buses, Bus), (generators, Generator), (lines, Line)))
+        if not buses["id"].size:
             raise ValidationError("network needs at least one bus")
-        if not generators:
+        if not gens["bus"].size:
             raise ValidationError("network needs at least one generator")
-        ids = [b.id for b in buses]
-        if len(set(ids)) != len(ids):
+        order = np.argsort(buses["id"], kind="stable")
+        self.bus_ids = ids = buses["id"][order]
+        if np.count_nonzero(ids[1:] == ids[:-1]):
             raise ValidationError("duplicate bus ids")
-        self.buses = sorted(buses, key=lambda b: b.id)
-        self._index = {b.id: i for i, b in enumerate(self.buses)}
-        self.generators = list(generators)
-        self.lines = list(lines)
 
-        for g in generators:
-            if g.bus not in self._index:
-                raise ValidationError(f"generator references unknown bus {g.bus}")
-        for ln in lines:
-            for b in (ln.from_bus, ln.to_bus):
-                if b not in self._index:
-                    raise ValidationError(f"line references unknown bus {b}")
+        self.gen_bus_index = self._positions(gens["bus"], "generator references unknown bus {}")
+        # each line's two ends in turn: half-arc h lies on line h // 2
+        ends = self._positions(np.array((lines["from_bus"], lines["to_bus"])).T.ravel(),
+                               "line references unknown bus {}")
+        self.from_index, self.to_index = ends.reshape(-1, 2).T.copy()
 
-        n = len(self.buses)
-        self.n_bus, self.n_line, self.n_gen = n, len(self.lines), len(self.generators)
+        n = ids.size
+        self.n_bus, self.n_line, self.n_gen = n, self.from_index.size, self.gen_bus_index.size
 
-        self.demand = np.array([b.demand for b in self.buses])
-        self.wind_mean = np.array([b.wind_mean for b in self.buses])
-        self.wind_sigma = np.array([b.wind_sigma for b in self.buses])
+        self.demand, self.wind_mean, self.wind_sigma = (
+            buses[key][order] for key in ("demand", "wind_mean", "wind_sigma"))
         self.wind_index = np.flatnonzero(self.wind_sigma > 0)
 
-        self.gen_bus_index = np.array([self._index[g.bus] for g in self.generators])
-        self.pmin = np.array([g.pmin for g in self.generators])
-        self.pmax = np.array([g.pmax for g in self.generators])
-        self.cost_quad = np.array([g.c1 for g in self.generators])
-        self.cost_lin = np.array([g.c2 for g in self.generators])
-        self.cost_const = np.array([g.c3 for g in self.generators])
-
-        self.from_index = np.array([self._index[l.from_bus] for l in self.lines], dtype=int)
-        self.to_index = np.array([self._index[l.to_bus] for l in self.lines], dtype=int)
-        self.beta = np.array([l.beta for l in self.lines])
-        self.pbar = np.array([l.pbar for l in self.lines])
+        self.pmin, self.pmax = gens["pmin"], gens["pmax"]
+        self.cost_quad, self.cost_lin, self.cost_const = gens["c1"], gens["c2"], gens["c3"]
+        self.beta, self.pbar = lines["beta"], lines["pbar"]
 
         if slack_bus is None:
-            slack_bus = self.buses[-1].id
-        if slack_bus not in self._index:
-            raise ValidationError(f"slack bus {slack_bus} not in network")
+            slack_bus = ids[-1:].tolist()[0]
         self.slack_bus = slack_bus
-        self.slack_index = self._index[slack_bus]
+        self.slack_index = int(
+            self._positions(np.array([slack_bus]), "slack bus {} not in network")[0])
         self.non_slack_index = np.flatnonzero(np.arange(n) != self.slack_index)
 
-        self._tree_arcs = self._bfs_tree_arcs()
+        self._tree_arcs = self._bfs_tree_arcs(ends)
 
-    def _bfs_tree_arcs(self) -> list[int]:
-        """Arcs of a breadth-first spanning tree from the slack bus.
+    def _positions(self, ids: np.ndarray, unknown: str) -> np.ndarray:
+        """The index of each of ids among the buses. The first id that names
+        no bus raises ValidationError(unknown.format(id))."""
+        known = self.bus_ids
+        if object in (known.dtype, ids.dtype):  # an id beyond int64
+            known, ids = known.astype(object), ids.astype(object)
+        pos = np.searchsorted(known, ids)
+        missing = known.take(pos, mode="clip") != ids
+        if np.count_nonzero(missing):
+            first = missing.argmax()
+            raise ValidationError(unknown.format(ids[first:first + 1].tolist()[0]))
+        return pos
+
+    def _bfs_tree_arcs(self, ends: np.ndarray) -> list[int]:
+        """Arcs of a breadth-first spanning tree from the slack bus, found
+        over CSR neighbour arrays: each bus's half-arcs, in arc order. ends
+        holds the bus of every half-arc, the two of line k at 2k and 2k + 1.
 
         Raises DisconnectedGraphError when some bus is unreachable.
         """
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_bus)]
-        for k, (a, b) in enumerate(zip(self.from_index.tolist(), self.to_index.tolist())):
-            adj[a].append((b, k))
-            adj[b].append((a, k))
-        seen = [False] * self.n_bus
+        n, halves = self.n_bus, ends.size
+        by_bus = np.argsort(ends * halves + np.arange(halves))  # by bus, then by arc
+        start = np.zeros(n + 1, dtype=int)
+        np.cumsum(np.bincount(ends, minlength=n), out=start[1:])
+        start, neighbour, arc = start.tolist(), ends[by_bus ^ 1].tolist(), (by_bus >> 1).tolist()
+        seen = [False] * n
         seen[self.slack_index] = True
         order, arcs = [self.slack_index], []
         for v in order:  # order grows while it is walked: a FIFO queue
-            for w, k in adj[v]:
+            for h in range(start[v], start[v + 1]):
+                w = neighbour[h]
                 if not seen[w]:
                     seen[w] = True
                     order.append(w)
-                    arcs.append(k)
-        if not all(seen):
-            missing = [bus.id for bus, reached in zip(self.buses, seen) if not reached]
+                    arcs.append(arc[h])
+        if len(order) < n:
+            missing = self.bus_ids[np.logical_not(seen)].tolist()
             raise DisconnectedGraphError(
                 f"buses unreachable from slack bus {self.slack_bus}: {missing}"
             )
         return arcs
 
+    @cached_property
+    def buses(self) -> list[Bus]:
+        """The buses in id order (built on first read)."""
+        return list(map(Bus, self.bus_ids.tolist(), self.demand.tolist(),
+                        self.wind_mean.tolist(), self.wind_sigma.tolist()))
+
+    @cached_property
+    def generators(self) -> list[Generator]:
+        """The generators (built on first read)."""
+        return list(map(Generator, self.bus_ids[self.gen_bus_index].tolist(), self.pmin.tolist(),
+                        self.pmax.tolist(), self.cost_quad.tolist(), self.cost_lin.tolist(),
+                        self.cost_const.tolist()))
+
+    @cached_property
+    def lines(self) -> list[Line]:
+        """The lines (built on first read)."""
+        ids = self.bus_ids
+        return list(map(Line, ids[self.from_index].tolist(), ids[self.to_index].tolist(),
+                        self.beta.tolist(), self.pbar.tolist()))
+
     def bus_index(self, bus_id: int) -> int:
-        try:
-            return self._index[bus_id]
-        except KeyError:
-            raise ValidationError(f"unknown bus id {bus_id}") from None
+        return int(self._positions(np.array([bus_id]), "unknown bus id {}")[0])
 
     def line_between(self, from_id: int, to_id: int) -> int:
-        """Index of the line joining two buses, in either orientation."""
+        """Index of the first line joining two buses, in either orientation."""
         i, j = self.bus_index(from_id), self.bus_index(to_id)
-        for k in range(self.n_line):
-            if {self.from_index[k], self.to_index[k]} == {i, j}:
-                return k
-        raise ValidationError(f"no line between buses {from_id} and {to_id}")
+        f, t = self.from_index, self.to_index
+        hits = np.flatnonzero(((f == i) & (t == j)) | ((f == j) & (t == i)))
+        if not hits.size:
+            raise ValidationError(f"no line between buses {from_id} and {to_id}")
+        return int(hits[0])
 
     @property
     def effective_cap(self) -> np.ndarray:
