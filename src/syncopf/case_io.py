@@ -669,12 +669,6 @@ def read_report(source) -> SolutionReport:
     return report_from_dict(_read_json(source, "report"))
 
 
-def read_flow_table(data: bytes) -> list[dict]:
-    """Parse the CSV flow table back into row dictionaries."""
-    header, *rows = csv.reader(io.StringIO(data.decode()))
-    return [dict(zip(header, (int(row[0]), *map(float, row[1:])))) for row in rows]
-
-
 # --- MATPOWER shim ----------------------------------------------------------
 
 def import_matpower(path) -> tuple[Network, ChanceSpec]:

@@ -49,6 +49,10 @@ The loop builds one QP, with the base rows and the initial tangents,
 and each iteration appends only the new cuts' rows to it
 (_CutRows.rows, QuadraticProgram.add_rows), so that each solve_qp after
 the first resumes from the previous optimum instead of starting over.
+A cut is a CUT_DTYPE record held as a tuple: _tangents and
+_CutRows.rows make a cut and its rows in one pass of scalar arithmetic
+per line, which at the one line of a cut costs less than array code,
+and CcSolution.cuts gathers the records into one array at the end.
 
 Generator limits are tightened by eta(eps_gen) times the total wind
 standard deviation, not scaled by alpha.
@@ -163,15 +167,15 @@ def expected_cost(net: Network, dispatch: Dispatch, sigma_tot_sq: float) -> floa
     )
 
 
-def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration: int) -> np.ndarray:
-    """Cuts of S at d_hat for the given lines, as a CUT_DTYPE array, with
-    slopes c (d_hat - d_bar) / S; lines whose S vanishes there get none."""
-    s_hat = table.spread_at(d_hat, lines)
-    at = s_hat > 1e-14
-    cuts = np.empty(np.count_nonzero(at), CUT_DTYPE)
-    cuts["line"], cuts["iteration"], cuts["d_hat"], cuts["s_hat"] = (
-        lines[at], iteration, d_hat[at], s_hat[at])
-    cuts["grad"] = table.c * (cuts["d_hat"] - table.d_bar[cuts["line"]]) / cuts["s_hat"]
+def _tangents(table: ConicTable, lines: np.ndarray, d_hat: np.ndarray, iteration: int) -> list:
+    """Cuts of S at d_hat for the given lines, as CUT_DTYPE records (tuples),
+    with slopes c (d_hat - d_bar) / S; lines whose S vanishes there get none."""
+    c, cuts = table.c, []
+    for line, d in zip(lines.tolist(), d_hat.tolist()):
+        gap, r = d - float(table.d_bar[line]), float(table.r[line])
+        s_hat = math.sqrt(c * (gap * gap) + r * r)  # GapMoments.spread_at
+        if s_hat > 1e-14:
+            cuts.append((line, iteration, d, s_hat, c * gap / s_hat))
     return cuts
 
 
@@ -268,23 +272,22 @@ class _CutRows:
         a[k:, :g] = -dmat
         return a, np.concatenate([cap - off, cap + off])
 
-    def rows(self, cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of cuts, a CUT_DTYPE array, as (a, b), in cut order."""
-        dmat, off = self.table.gen, self.table.offset
-        g = dmat.shape[1]
-        lines, grad = cuts["line"], cuts["grad"]
-        intercept = cuts["s_hat"] - grad * cuts["d_hat"]
-        cut_idx, kind = np.nonzero(self._eta[lines] > 0.0)  # cut-major, thermal first
-        k = lines[cut_idx]
-        eta_k = self._eta[k, kind]
-        rhs = self._bound[k, kind] - eta_k * intercept[cut_idx]
-        a, b = np.zeros((2 * k.size, 2 * g)), np.empty(2 * k.size)
-        a[0::2, :g] = dmat[k]
-        a[1::2, :g] = -dmat[k]
-        a[0::2, g:] = a[1::2, g:] = (eta_k * grad[cut_idx])[:, None] * dmat[k]
-        b[0::2] = rhs - off[k]
-        b[1::2] = rhs + off[k]
-        return a, b
+    def rows(self, cuts: list) -> tuple[np.ndarray, list]:
+        """The rows of cuts, CUT_DTYPE records, as (a, b), in cut order."""
+        gen, offset = self.table.gen, self.table.offset
+        g = gen.shape[1]
+        a, b = np.empty((4 * len(cuts), 2 * g)), []
+        for line, _, d_hat, s_hat, grad in cuts:
+            intercept = s_hat - grad * d_hat
+            d, off = gen[line], float(offset[line])
+            for eta, bound in zip(self._eta[line].tolist(), self._bound[line].tolist()):
+                if eta > 0.0:
+                    rhs = bound - eta * intercept
+                    i = len(b)
+                    a[i, :g], a[i + 1, :g] = d, -d
+                    a[i : i + 2, g:] = eta * grad * d
+                    b += (rhs - off, rhs + off)
+        return a[: len(b)], b
 
 
 def solve_cc_opf(
@@ -343,11 +346,11 @@ def solve_cc_opf(
 
     kept = _bindable_lines(table, lo_p, hi_p, total)
     watched = table.subset(kept)  # entry l of its violations is line kept[l // 2]'s
-    cuts = [_tangents(table, kept, np.zeros(kept.size), 0)]
+    cuts = _tangents(table, kept, np.zeros(kept.size), 0)
     cut_rows = _CutRows(table, kept)
     qp = QuadraticProgram(Q=np.diag(quad), c=lin, A_eq=a_eq, b_eq=b_eq, lo=lo, hi=hi)
     qp.add_rows(*cut_rows.base())
-    qp.add_rows(*cut_rows.rows(cuts[0]))
+    qp.add_rows(*cut_rows.rows(cuts))
     log: list[tuple] = []  # (iteration, line, kind, violation) of each cut
     trace: list[float] = []
     violated_counts: list[int] = []
@@ -375,7 +378,7 @@ def solve_cc_opf(
                 objective_trace=trace,
                 violated_counts=violated_counts,
                 table=table,
-                cuts=np.concatenate(cuts),
+                cuts=np.array(cuts, CUT_DTYPE),
                 violations=viol,
                 binding_thermal=viol[0::2] >= -1e-6,
                 binding_sync=viol[1::2] >= -1e-6,
@@ -390,7 +393,7 @@ def solve_cc_opf(
         else:
             lines = np.array([line])
         new = _tangents(table, lines, table.gen[lines] @ dispatch.alpha, it)
-        cuts.append(new)
+        cuts += new
         qp.add_rows(*cut_rows.rows(new))
         logger.info(
             "cut iteration %d: line %d %s violation %.3e (%d violated)",

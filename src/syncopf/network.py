@@ -77,7 +77,10 @@ GENERATOR_RULES = (
      "generator at bus {bus}: bounds must be finite"),
     (lambda g: g["pmin"] > g["pmax"], ValidationError,
      "generator at bus {bus}: pmin {pmin} > pmax {pmax}"),
-    (lambda g: g["c1"] < 0, ValidationError, "generator at bus {bus}: c1 must be >= 0"),
+    (lambda g: _not_finite_or_negative(g["c1"]), ValidationError,
+     "generator at bus {bus}: c1 must be finite and >= 0"),
+    (lambda g: ~np.isfinite(g["c2"]), ValidationError, "generator at bus {bus}: c2 must be finite"),
+    (lambda g: ~np.isfinite(g["c3"]), ValidationError, "generator at bus {bus}: c3 must be finite"),
 )
 LINE_RULES = (
     (lambda l: l["from_bus"] == l["to_bus"], ValidationError,

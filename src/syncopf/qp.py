@@ -24,11 +24,18 @@ of R and returns it to triangular form with Givens rotations on
 adjacent rows, applied to the matching column pairs of J as well.
 Neither update forms N, Q^{-1}N or N Q^{-1} N'.
 
-A final KKT polish (one direct solve on the active set, with a step of
-iterative refinement) follows the iteration.  The iterates accumulate
-roundoff over the adds and drops, and an active bound can end a few ulps
-outside its limit: without the polish, case9's DC-OPF leaves a generator
-one ulp above pmax, and its reported prob_bounds reads 1 instead of 0.
+An Optimal solve ends with a finish: a polish, then a measure.  The
+polish solves the KKT system of the active rows directly, with a step
+of iterative refinement.  The iterates accumulate roundoff over the
+adds and drops, and an active bound can end a few ulps outside its
+limit: without the polish, case9's DC-OPF leaves a generator one ulp
+above pmax, and its reported prob_bounds reads 1 instead of 0.  The
+KKT residual (_kkt_residual) reuses the polish's system, which holds
+every row with a dual, and the infeasibility the polish found, so it
+costs a few products on that small system.  A residual above
+100 * TOL_KKT is logged as a warning and the status stays Optimal:
+the status already says that every row holds to TOL_FEAS, and no
+caller acts on the residual.
 
 A QP grows by appending inequality rows (QuadraticProgram.add_rows),
 and a solve after rows were appended resumes from where the QP's last
@@ -173,11 +180,13 @@ class _Rows:
     """The constraint rows in the internal form  a'x >= b.
 
     Order: equalities first (sign-flipped as needed during the solve),
-    then user inequalities (negated), then lower bounds, then upper
-    bounds (negated). Nothing is stacked: a row is read from its block of
-    the QP when it enters the working set, and a bound row stays the unit
-    vector it stands for, so its residual b - a'x is lo - x (or x - hi)
-    exactly.
+    then user inequalities (negated), then a lower bound per variable,
+    then an upper bound per variable (negated). Nothing is stacked: a row
+    is read from its block of the QP when it enters the working set, and
+    a bound row stays the unit vector it stands for, so its residual
+    b - a'x is lo - x (or x - hi) exactly. A bound that is not finite is
+    a row whose residual is -inf: it is never violated, never enters the
+    working set and holds no dual, and m counts only the other rows.
 
     The user inequalities fill a buffer with spare capacity, whose rows
     so far the QP shows as read-only A_in and b_in; appending renumbers
@@ -190,10 +199,9 @@ class _Rows:
         self.n_eq = 0 if qp.A_eq is None else qp.A_eq.shape[0]
         lo = np.full(qp.n, -np.inf) if qp.lo is None else qp.lo
         hi = np.full(qp.n, np.inf) if qp.hi is None else qp.hi
-        self.lo_idx = np.flatnonzero(np.isfinite(lo))
-        self.hi_idx = np.flatnonzero(np.isfinite(hi))
-        self.lo, self.hi = lo[self.lo_idx], hi[self.hi_idx]
-        self.m = self.n_eq + self.lo_idx.size + self.hi_idx.size
+        self.lo = np.where(np.isfinite(lo), lo, -np.inf)
+        self.hi = np.where(np.isfinite(hi), hi, np.inf)
+        self.m = self.n_eq + int(np.isfinite(self.lo).sum() + np.isfinite(self.hi).sum())
         self.n_in, self.A_in, self.b_in, self.end = 0, None, None, None  # end: a _WorkingSet
         self._a, self._b = (np.zeros((0, qp.n)), np.zeros(0)) if A_in is None else (A_in, b_in)
         if A_in is not None:
@@ -224,17 +232,24 @@ class _Rows:
             return -self.A_in[p], -self.b_in[p]
         p -= self.n_in
         a = np.zeros(self.n)
-        if p < self.lo_idx.size:
-            a[self.lo_idx[p]] = 1.0
+        if p < self.n:
+            a[p] = 1.0
             return a, self.lo[p]
-        p -= self.lo_idx.size
-        a[self.hi_idx[p]] = -1.0
-        return a, -self.hi[p]
+        a[p - self.n] = -1.0
+        return a, -self.hi[p - self.n]
 
     def violations(self, x: np.ndarray) -> np.ndarray:
         """b - a'x over every row but the equalities, in row order."""
-        ineq = self.A_in @ x - self.b_in if self.n_in else np.zeros(0)
-        return np.concatenate([ineq, self.lo - x[self.lo_idx], x[self.hi_idx] - self.hi])
+        ineq = self.A_in @ x - self.b_in if self.n_in else x[:0]
+        return np.concatenate((ineq, self.lo - x, x - self.hi))
+
+    def infeasibility(self, x: np.ndarray) -> float:
+        """The largest violation at x: of b - a'x over the inequality rows
+        and bounds, and of |b - a'x| over the equalities; 0 if none."""
+        viol = self.violations(x)
+        if self.n_eq:
+            viol = np.concatenate((viol, np.abs(self.b_eq - self.A_eq @ x)))
+        return max(float(viol[viol.argmax()]), 0.0) if viol.size else 0.0
 
 
 @dataclass
@@ -320,17 +335,15 @@ class _WorkingSet:
             q = len(active)
             d = J.T @ a_new
             z = J[:, q:] @ d[q:]
-            r = dtrtrs(R[:q, :q], d[:q])[0] if q else d[:0]
-            znp = a_new @ z
-            viol = b_new - a_new @ self.x
+            r = dtrtrs(R[:q, :q], d[:q])[0].tolist() if q else []
+            znp = float(a_new @ z)
+            viol = float(b_new - a_new @ self.x)
             # dual blocking: only inequality rows can leave the active set
-            t1 = np.inf
+            t1 = math.inf
             blocker = -1
-            for idx, j in enumerate(active):
-                if j < rows.n_eq:
-                    continue
-                if r[idx] > 1e-12:
-                    ratio = lam[idx] / r[idx]
+            for idx, (j, r_j) in enumerate(zip(active, r)):
+                if j >= rows.n_eq and r_j > 1e-12:
+                    ratio = lam[idx] / r_j
                     if ratio < t1 - 1e-15:
                         t1 = ratio
                         blocker = idx
@@ -393,11 +406,9 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
-    residual (stationarity net of the roundoff of its terms and
-    complementarity relative to the dual and the row, see _kkt_residual
-    and _complementarity), and one above 100 * TOL_KKT is logged as a warning.
-    Deterministic for identical input: the same QP built, grown and
-    solved in the same order.
+    residual (_kkt_residual), and one above 100 * TOL_KKT is logged as a
+    warning. Deterministic for identical input: the same QP built, grown
+    and solved in the same order.
     """
     rows = qp._rows
     ws, rows.end = rows.end, None
@@ -406,35 +417,30 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     else:
         ws = _WorkingSet.empty(qp, rows)
     status = ws.run(rows)
-    if status == OPTIMAL:
-        rows.end = ws
 
-    duals = np.zeros(rows.m)
+    duals = np.zeros(rows.n_eq + rows.n_in + 2 * qp.n)  # every row's, in row order
     for j, lam_j in zip(ws.active, ws.lam):
         duals[j] = lam_j * ws.flip[j] if j < rows.n_eq else lam_j
-
-    x = ws.x
-    if status == OPTIMAL and ws.active:
-        x, duals = _polish(qp, rows, ws.active, x, duals)
+    x, worst, system = ws.x, None, None
+    if status == OPTIMAL:
+        rows.end = ws
+        if ws.active:
+            system = _kkt_system(qp, rows, sorted(ws.active))
+            x, worst = _polish(qp, rows, system, x, duals)
 
     sol = _package(qp, rows, x, duals, status, ws.iters)
     if status == OPTIMAL:
-        sol.kkt_residual = _kkt_residual(qp, sol)
+        sol.kkt_residual = _kkt_residual(qp, sol, worst, system)
         if sol.kkt_residual > 100 * TOL_KKT:
             logger.warning("KKT residual %.3e above tolerance", sol.kkt_residual)
     return sol
 
 
-def _polish(qp, rows, active, x, duals):
-    """Re-solve the equality-constrained KKT system on the active set.
-
-    The active-set iteration accumulates roundoff over many drops and
-    adds; one direct solve (plus a refinement pass) restores residuals
-    to machine-level accuracy without changing the active set.
-    """
-    n = qp.n
-    act = sorted(active)
-    k = len(act)
+def _kkt_system(qp, rows, act):
+    """The KKT system of the rows act, in row order: (act, the matrix
+    [[Q, N'], [N, 0]], the right-hand side [-c, b]), N and b holding the
+    rows' internal form a'x >= b."""
+    n, k = qp.n, len(act)
     kkt = np.zeros((n + k, n + k))
     rhs = np.empty(n + k)
     kkt[:n, :n] = qp.Q
@@ -442,89 +448,81 @@ def _polish(qp, rows, active, x, duals):
     for i, j in enumerate(act, n):
         kkt[i, :n], rhs[i] = rows.row(j)
     kkt[:n, n:] = kkt[n:, :n].T
+    return act, kkt, rhs
+
+
+def _polish(qp, rows, system, x, duals):
+    """Solve the KKT system of the active rows (module docstring): the
+    polished x and its infeasibility, with its duals written into duals;
+    or x and None, duals untouched, if it breaks a dual sign or a row."""
+    act, kkt, rhs = system
     try:
         sol = np.linalg.solve(kkt, rhs)
         # one step of iterative refinement
         resid = rhs - kkt @ sol
         sol = sol + np.linalg.solve(kkt, resid)
     except np.linalg.LinAlgError:
-        return x, duals
-    x_new = sol[:n]
+        return x, None
+    x_new = sol[:qp.n]
     # stationarity here reads Qx + c + N'y = 0; internal duals satisfy
     # Qx + c - N'd = 0, so d = -y
-    y = sol[n:]
-    # reject the polish if it breaks sign or feasibility
-    if ((y[bisect_left(act, rows.n_eq):] > 1e-9).any()
-            or rows.violations(x_new).max(initial=0.0) > 1e-8
-            or rows.n_eq and np.abs(qp.b_eq - qp.A_eq @ x_new).max() > 1e-8):
-        return x, duals
-    duals_new = duals.copy()
-    duals_new[act] = -y
-    return x_new, duals_new
+    y = sol[qp.n:]
+    worst = rows.infeasibility(x_new)
+    if worst > 1e-8 or any(y_j > 1e-9 for y_j in y[bisect_left(act, rows.n_eq):].tolist()):
+        return x, None
+    duals[act] = -y  # every nonzero dual is on an active row
+    return x_new, worst
 
 
 def _package(qp, rows, x, duals, status, iters) -> QpSolution:
     n_eq, ofs = rows.n_eq, rows.n_eq + rows.n_in  # the bound rows start at ofs
-    duals_eq = duals[:n_eq].copy()
-    duals_in = duals[n_eq:ofs].copy()
-    duals_lo, duals_hi = np.zeros(qp.n), np.zeros(qp.n)
-    duals_lo[rows.lo_idx] = duals[ofs : ofs + rows.lo_idx.size]
-    duals_hi[rows.hi_idx] = duals[ofs + rows.lo_idx.size :]
     obj = 0.5 * x @ qp.Q @ x + qp.c @ x
-    return QpSolution(
-        x=x,
-        status=status,
-        objective=float(obj),
-        duals_eq=duals_eq,
-        duals_in=duals_in,
-        duals_lo=duals_lo,
-        duals_hi=duals_hi,
-        iterations=iters,
-    )
+    return QpSolution(x=x, status=status, objective=float(obj), duals_eq=duals[:n_eq],
+                      duals_in=duals[n_eq:ofs], duals_lo=duals[ofs : ofs + qp.n],
+                      duals_hi=duals[ofs + qp.n :], iterations=iters)
 
 
-def _kkt_residual(qp: QuadraticProgram, sol: QpSolution) -> float:
-    """Max-norm KKT residual: stationarity, feasibility, complementarity.
+def _kkt_residual(qp: QuadraticProgram, sol: QpSolution, worst: float | None = None,
+                  system: tuple | None = None) -> float:
+    """Max-norm KKT residual: stationarity, feasibility, complementarity
+    and the sign of the inequality duals.
+
+    A row that holds no dual adds to feasibility alone, so the rest is
+    measured on a KKT system (_kkt_system) holding every row that holds
+    one: system when it does, else that of those rows. With x and y =
+    -dual, one product with its matrix gives the stationarity residual
+    and each row's slack a'x - b, and one with the absolute values the
+    magnitude ("size") of the terms behind each. Feasibility is
+    rows.infeasibility(x), passed in as worst when the caller has it.
 
     A stationarity entry sums k terms, and with duals near 1e9 they cancel
     only to about k * eps times their summed magnitude.  That roundoff bound
     is taken off each entry before the max, so a residual of the size of
-    roundoff reads 0 while an error above it shows at its full size.
+    roundoff reads 0 while an error above it shows at its full size.  So
+    too, a row's complementarity is |y * slack| / (1 + |y| * size): an
+    active row's slack is known only to the roundoff of its size, which a
+    large dual would magnify in the plain product, while a dual on a row
+    with real slack still reads near |slack| / size, or |y * slack| for a
+    small dual.  A dual on a bound that is not finite adds to
+    stationarity alone.
     """
-    x, rows = sol.x, qp._rows
-    grad = qp.Q @ x + qp.c
-    size = np.abs(qp.Q) @ np.abs(x) + np.abs(qp.c)
-    if rows.n_in:
-        grad += qp.A_in.T @ sol.duals_in
-        held = sol.duals_in.nonzero()[0]  # most rows hold no dual and add nothing
-        size += np.abs(sol.duals_in[held]) @ np.abs(qp.A_in[held])
-    if rows.n_eq:
-        grad -= qp.A_eq.T @ sol.duals_eq
-        size += np.abs(qp.A_eq.T) @ np.abs(sol.duals_eq)
-    grad = grad - sol.duals_lo + sol.duals_hi
-    size += np.abs(sol.duals_lo) + np.abs(sol.duals_hi)
-    terms = x.size + sol.duals_in.size + sol.duals_eq.size + 2
-    res = float((np.abs(grad) - terms * _EPS * size).max(initial=0.0))
-    if rows.n_eq:
-        res = max(res, float(np.abs(qp.A_eq @ x - qp.b_eq).max()))
-    # the inequality rows and the finite bounds in one pass, each as lhs <= rhs
-    ax, b_in = (qp.A_in @ x, qp.b_in) if rows.n_in else (x[:0], x[:0])
-    lhs = np.concatenate([ax, -x[rows.lo_idx], x[rows.hi_idx]])
-    rhs = np.concatenate([b_in, -rows.lo, rows.hi])
-    dual = np.concatenate([sol.duals_in, sol.duals_lo[rows.lo_idx], sol.duals_hi[rows.hi_idx]])
-    slack = rhs - lhs
-    res = max(res, float((-slack).max(initial=0.0)),
-              _complementarity(dual, slack, np.abs(lhs) + np.abs(rhs)))
-    return max(res, float((-sol.duals_in).max(initial=0.0)))
-
-
-def _complementarity(dual, slack, size):
-    """Largest |dual * slack| / (1 + |dual| * size), size being the
-    magnitude of the terms whose difference is the slack.
-
-    An active row's slack is known only to the roundoff of its size, and
-    a large dual would magnify that roundoff in the plain product; a
-    nonzero dual on a row with real slack still reads near
-    |slack| / size, or |dual * slack| for a small dual.
-    """
-    return float((np.abs(dual * slack) / (1.0 + np.abs(dual) * size)).max(initial=0.0))
+    x, rows, n = sol.x, qp._rows, qp.n
+    duals = np.concatenate((sol.duals_eq, sol.duals_in, sol.duals_lo, sol.duals_hi))
+    held = duals.nonzero()[0].tolist()
+    if system is None or not set(held).issubset(system[0]):
+        system = _kkt_system(qp, rows, held)
+    act, kkt, rhs = system
+    v = np.concatenate((x, -duals[act]))
+    resid = kkt @ v - rhs
+    size = np.abs(kkt) @ np.abs(v) + np.abs(rhs)
+    terms = n + sol.duals_in.size + sol.duals_eq.size + 2
+    stat = np.abs(resid[:n]) - terms * _EPS * size[:n]
+    res = max(float(stat[stat.argmax()]) if n else 0.0,
+              rows.infeasibility(x) if worst is None else worst)
+    # the system's inequality rows, then its bounds; y = -dual
+    first, stop = n + bisect_left(act, rows.n_eq), n + bisect_left(act, rows.n_eq + rows.n_in)
+    y, slack, mag = v.tolist(), resid.tolist(), size.tolist()
+    for i in range(first, len(y)):
+        if mag[i] < math.inf:  # a bound that is not finite has no slack
+            res = max(res, abs(y[i] * slack[i]) / (1.0 + abs(y[i]) * mag[i]))
+    return max([res] + y[first:stop])  # a negative inequality dual is a positive y

@@ -57,8 +57,11 @@ class Generator:
             raise ValidationError(
                 f"generator at bus {self.bus}: pmin {self.pmin} > pmax {self.pmax}"
             )
-        if self.c1 < 0:
-            raise ValidationError(f"generator at bus {self.bus}: c1 must be >= 0")
+        if not math.isfinite(self.c1) or self.c1 < 0:
+            raise ValidationError(f"generator at bus {self.bus}: c1 must be finite and >= 0")
+        for name in ("c2", "c3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"generator at bus {self.bus}: {name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Case and report serialization tests: JSON schema parsing, chance
 overrides, round-trips, deterministic 12-digit output, and the
 MATPOWER topology import."""
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -23,10 +25,15 @@ from syncopf.case_io import (
     ITERATION_FIELDS,
     LINE_FIELDS,
     parse_case_dict,
-    read_flow_table,
     report_from_dict,
     report_to_dict,
 )
+
+
+def read_flow_table(data: bytes) -> list[dict]:
+    """Parse the CSV flow table of write_report back into row dictionaries."""
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    return [dict(zip(header, (int(row[0]), *map(float, row[1:])))) for row in rows]
 
 
 def small_doc():

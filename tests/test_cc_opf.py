@@ -32,6 +32,7 @@ from syncopf import (
     solve_scopf,
 )
 from syncopf.cc_opf import (
+    CUT_DTYPE,
     _bindable_lines,
     _CutRows,
     _tangents,
@@ -199,7 +200,7 @@ def test_closed_form_spread_matches_definition(load, vanishing):
         assert np.all(np.abs(sens.spread(disp) - want) <= 1e-14 * scale)
         assert np.array_equal(table.spread(disp), sens.spread(disp))
 
-        cuts = _tangents(table, lines, d, 1)
+        cuts = np.array(_tangents(table, lines, d, 1), CUT_DTYPE)
         assert np.array_equal(cuts["line"], np.flatnonzero(table.spread_at(d) > 1e-14))
         k = cuts["line"]
         assert np.all(np.abs(cuts["s_hat"] - want[k]) <= 1e-14 * scale[k])
@@ -217,8 +218,8 @@ def test_closed_form_spread_matches_definition(load, vanishing):
     assert np.all(np.abs(table.spread_at(table.d_bar) - want) <= 1e-14 * scale)
     assert np.all(want[vanishing] <= 1e-14)
     others = np.setdiff1d(lines, vanishing)
-    assert np.array_equal(_tangents(table, lines, table.d_bar, 0)["line"], others)
-    far = _tangents(table, lines, table.d_bar + 1.0, 0)["line"]
+    assert [cut[0] for cut in _tangents(table, lines, table.d_bar, 0)] == others.tolist()
+    far = [cut[0] for cut in _tangents(table, lines, table.d_bar + 1.0, 0)]
     assert np.array_equal(far, lines if sens.sigma.size else [])
 
 
@@ -288,8 +289,8 @@ def test_assembled_rows_match_per_cut_loop():
                         eps_gen=[0.1, 0.1])
     table = build_conic_constraints(net, chance)
     lines = np.arange(net.n_line)
-    cuts = np.concatenate([_tangents(table, lines, np.zeros(net.n_line), 0),
-                           _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1)])
+    cuts = (_tangents(table, lines, np.zeros(net.n_line), 0)
+            + _tangents(table, lines[::-1], np.array([0.3, -0.2, 0.1]), 1))
     # base rows of every line, of two, and of none, as when all are screened
     n = 2 * net.n_gen
     for base in (lines, np.array([0, 2]), np.array([], dtype=int)):
@@ -299,7 +300,7 @@ def test_assembled_rows_match_per_cut_loop():
         for batch in (cuts[:2], cuts[2:5], cuts[:0], cuts[5:]):  # grows the QP's buffer
             qp.add_rows(*rows.rows(batch))
         a_in, b_in = qp.A_in, qp.b_in
-        a_ref, b_ref = _assemble_reference(table, base, cuts)
+        a_ref, b_ref = _assemble_reference(table, base, np.array(cuts, CUT_DTYPE))
         assert np.array_equal(a_in, a_ref) and np.array_equal(b_in, b_ref)
         assert a_in.shape[0] == 2 * base.size + 2 * (2 + 1 + 1) * 2
 
@@ -490,6 +491,28 @@ def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
     assert len(seen) == res.iterations > 1
     assert [w for w, _ in seen] == [False] + [True] * (res.iterations - 1)
     assert all(a < b for (_, a), (_, b) in zip(seen, seen[1:]))
+
+
+def test_case9_budget_sweep_counts(monkeypatch):
+    # the 10 x 10 budget sweep of the nlmc-case9 benchmark workload
+    # (perfbench/workloads.py): its cut iterations, cuts, QP solves and
+    # active-set steps, which the benchmark's trace reports
+    net, chance = parse_case("cases/case9_wind.json")
+    qp_calls, steps = [], []
+
+    def counted(qp):
+        sol = solve_qp(qp)
+        qp_calls.append(1)
+        steps.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(cc_mod, "solve_qp", counted)
+    iterations = cuts = 0
+    for eps_line in np.geomspace(0.005, 0.05, 10):
+        for eps_sync in np.geomspace(5e-6, 5e-4, 10):
+            sol = solve_cc_opf(net, chance.replace_defaults(float(eps_line), float(eps_sync), None))
+            iterations, cuts = iterations + sol.iterations, cuts + len(sol.cuts)
+    assert (iterations, cuts, len(qp_calls), sum(steps)) == (810, 810, 810, 1950)
 
 
 # --- the screen of lines that can never bind ---------------------------------

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from syncopf import parse_case, read_report, solve_dc_opf, solve_pf
-from syncopf.case_io import read_flow_table, write_report
+from syncopf.case_io import write_report
 from syncopf.cli import EXIT_USAGE, build_parser, main
 from syncopf.network import Dispatch, injection_vector
+from test_case_io import read_flow_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -209,6 +210,25 @@ def test_malformed_input_is_parse_failure(tmp_path, capsys, edit, argv, named):
     out, err = capsys.readouterr()
     assert (code, out) == (EXIT_USAGE, "")
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("variant", ["dc", "ccopf"])
+@pytest.mark.parametrize("key, value, rule", [
+    ("c1", float("nan"), "c1 must be finite and >= 0"),
+    ("c2", float("nan"), "c2 must be finite"),
+    ("c2", float("-inf"), "c2 must be finite"),
+    ("c3", float("nan"), "c3 must be finite"),
+    ("c3", float("inf"), "c3 must be finite"),
+], ids=["c1-nan", "c2-nan", "c2-neginf", "c3-nan", "c3-inf"])
+def test_non_finite_generator_cost_is_one_line_error(tmp_path, capsys, variant, key, value, rule):
+    # such a cost once passed the case checks, and the solve then reported
+    # a false infeasibility with exit code 2
+    doc = json.loads(Path("cases/case9_wind.json").read_text())
+    doc["generators"][0][key] = value
+    code = main(["solve", variant, "--case", write_case(tmp_path, doc)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: generator at bus {doc['generators'][0]['bus']}: {rule}\n"
 
 
 def test_pf_inline_injections(tmp_path, capsys):

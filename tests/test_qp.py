@@ -3,8 +3,9 @@
 Covers: hand-checked KKT examples, dual sign conventions, infeasibility
 detection, semidefinite regularization, randomized KKT certification,
 inactive-constraint removal invariance, feasible ill-conditioned
-problems with dependent rows, the KKT residual's warning, and a QP
-grown by add_rows, whose solves resume where the last one ended.
+problems with dependent rows, the KKT residual's warning, a QP grown
+by add_rows, whose solves resume where the last one ended, and the
+finish of each solve (polish and residual) against its reference.
 """
 import dataclasses
 import logging
@@ -12,7 +13,9 @@ import logging
 import numpy as np
 import pytest
 
+import qp_reference
 import syncopf.qp as qp_mod
+from syncopf import parse_case, solve_cc_opf
 from syncopf.qp import OPTIMAL, INFEASIBLE, TOL_KKT, QuadraticProgram, _kkt_residual, solve_qp
 
 
@@ -262,6 +265,22 @@ def test_stationarity_alone_trips_kkt_residual():
     assert _kkt_residual(qp, wrong) == pytest.approx(0.5)
 
 
+def test_negative_dual_alone_trips_kkt_residual():
+    # min (x - 1)^2 / 2 s.t. x <= 2: at x = 2 a dual of -1 on the tight row
+    # is stationary and complementary, but of the wrong sign
+    qp = QuadraticProgram(Q=[[1.0]], c=[-1.0], A_in=[[1.0]], b_in=[2.0])
+    wrong = dataclasses.replace(solve_qp(qp), x=np.array([2.0]), duals_in=np.array([-1.0]))
+    assert _kkt_residual(qp, wrong) == pytest.approx(1.0)
+
+
+def test_dual_on_infinite_bound_trips_stationarity_alone():
+    # min (x - 1)^2 / 2 s.t. x >= 0: a dual of 0.5 on the upper bound, which
+    # is infinite, breaks stationarity by 0.5 and has no slack to complement
+    qp = QuadraticProgram(Q=[[1.0]], c=[-1.0], lo=[0.0], hi=[np.inf])
+    wrong = dataclasses.replace(solve_qp(qp), duals_hi=np.array([0.5]))
+    assert _kkt_residual(qp, wrong) == pytest.approx(0.5)
+
+
 def test_dimension_validation():
     with pytest.raises(ValueError):
         QuadraticProgram(Q=np.eye(2), c=[1.0])
@@ -373,3 +392,64 @@ def test_qp_after_infeasible_solve_restarts_cold():
     assert again.status == cold.status == INFEASIBLE
     assert again.iterations == cold.iterations
     assert np.array_equal(again.x, cold.x)
+
+
+# --- the finish of a solve against its reference -------------------------------
+
+@pytest.fixture
+def finish_checks(monkeypatch):
+    """Check the finish of every solve against tests/qp_reference.py: the
+    polish gives the reference's x and duals bit for bit, and the residual
+    agrees with the reference's to roundoff and lies on the same side of
+    the warning threshold. Returns the list of residuals checked."""
+    polish, residual, checked = qp_mod._polish, qp_mod._kkt_residual, []
+
+    def polish_checked(qp, rows, system, x, duals):
+        want_x, want_duals = qp_reference.polish(qp, rows, system[0], x, duals.copy())
+        got = polish(qp, rows, system, x, duals)
+        assert got[0].tobytes() == want_x.tobytes() and duals.tobytes() == want_duals.tobytes()
+        return got
+
+    def residual_checked(qp, sol, *known):
+        got, want = residual(qp, sol, *known), qp_reference.kkt_residual(qp, sol)
+        # residuals of the size of roundoff are summed in another order
+        assert abs(got - want) <= 1e-12 + 1e-9 * want, (got, want)
+        assert (got > 100 * TOL_KKT) == (want > 100 * TOL_KKT)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(qp_mod, "_polish", polish_checked)
+    monkeypatch.setattr(qp_mod, "_kkt_residual", residual_checked)
+    return checked
+
+
+ILL_CONDITIONED = [(4, 147), (6, 74), (8, 117), (8, 195), (10, 84), (11, 1068), (12, 1159),
+                   (5, 1242), (11, 1648), (11, 1027), (12, 1943)]
+
+
+def test_finish_matches_reference_on_test_qps(finish_checks):
+    # the randomized and the ill-conditioned QPs above, and grown QPs, whose
+    # upper bounds are partly infinite
+    rng = np.random.default_rng(123)
+    for trial in range(30):
+        n, m = int(rng.integers(2, 9)), int(rng.integers(1, 12))
+        assert solve_qp(_random_feasible_qp(rng, n, m, with_eq=bool(trial % 2))[0]).status == OPTIMAL
+    for n, seed in ILL_CONDITIONED:
+        assert solve_qp(_ill_conditioned_qp(n, seed)[0]).status == OPTIMAL
+    rng = np.random.default_rng(31)
+    for trial in range(10):
+        qp, batches = _grown_qp(rng, int(rng.integers(2, 7)))
+        solve_qp(qp)
+        for batch in batches:
+            qp.add_rows(*batch)
+            solve_qp(qp)
+    assert len(finish_checks) == 30 + len(ILL_CONDITIONED) + 10 * 4
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@pytest.mark.parametrize("case", ["cases/case9_wind.json", "cases/alternation.json",
+                                  "tests/data/mesh100.json"])
+def test_finish_matches_reference_in_cut_loops(case, add_all, finish_checks):
+    net, chance = parse_case(case)
+    sol = solve_cc_opf(net, chance, add_all_violated=add_all)
+    assert len(finish_checks) == sol.iterations
