@@ -680,7 +680,10 @@ def import_matpower(path) -> tuple[Network, ChanceSpec]:
     dropped with a warning; wind fields are left zero for the caller to
     fill in.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read MATPOWER file {path}: {exc}") from exc
     base = re.search(r"mpc\.baseMVA\s*=\s*([0-9.eE+-]+)\s*;", text)
     base_mva = float(base.group(1)) if base else 100.0
 

@@ -187,15 +187,16 @@ def _largest_gap(dmat, offset, lo_p, hi_p, total: float) -> np.ndarray:
     from the largest D_l entry down or from the smallest up.
     """
     order = np.argsort(dmat, axis=1)
-    d_sorted = np.take_along_axis(dmat, order, axis=1)
+    # indexing and method forms: numpy's function wrappers cost more here
+    d_sorted = dmat[np.arange(dmat.shape[0])[:, None], order]
     room = np.maximum(hi_p - lo_p, 0.0)[order]
-    spare = total - float(np.sum(lo_p))
+    spare = total - float(lo_p.sum())
 
     def greedy(d, room):
         # the most of sum(d * x) with 0 <= x <= room, sum(x) = spare,
         # when d is in decreasing order
         before = np.cumsum(room, axis=1) - room
-        return np.sum(d * np.clip(spare - before, 0.0, room), axis=1)
+        return (d * np.minimum(np.maximum(spare - before, 0.0), room)).sum(axis=1)
 
     base = dmat @ lo_p + offset
     high = base + greedy(d_sorted[:, ::-1], room[:, ::-1])

@@ -144,8 +144,8 @@ class BarrierConfig:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValidationError(f"epsilon must be in (0,1), got {self.epsilon}")
-        if self.cost_floor <= 0.0:
-            raise ValidationError(f"cost_floor must be > 0, got {self.cost_floor}")
+        if not (0.0 < self.cost_floor < math.inf):  # NaN fails this too
+            raise ValidationError(f"cost_floor must be finite and > 0, got {self.cost_floor}")
 
     def d_value(self, net: Network) -> float:
         return self.cost_floor * self.epsilon / (math.pi * float(np.max(net.beta)))
@@ -353,9 +353,7 @@ class _BarrierKkt:
 
 def _outflow(net: Network, flow: np.ndarray, p: np.ndarray) -> np.ndarray:
     """E x at each bus: the line flows leaving it, net of generation p."""
-    n = net.n_bus
-    return (np.bincount(net.from_index, flow, n) - np.bincount(net.to_index, flow, n)
-            - np.bincount(net.gen_bus_index, p, n))
+    return net.outflow(flow) - np.bincount(net.gen_bus_index, p, net.n_bus)
 
 
 def _max_norm(parts) -> float:

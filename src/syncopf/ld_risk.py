@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import DomainError, NoConvergenceError, ZeroVarianceError
 from .network import Dispatch, Network, injection_vector
@@ -111,8 +110,6 @@ def nonlinear_instanton(
 
     n = net.n_bus
     keep = net.non_slack_index
-    inc = net.incidence  # sparse n x m, +1 at from, -1 at to
-    inc_keep = inc[keep]
     alpha_bus = np.bincount(net.gen_bus_index, dispatch.alpha, n)  # response over buses
     base_q = injection_vector(net, dispatch)
 
@@ -121,8 +118,9 @@ def nonlinear_instanton(
     # q(omega) = base_q + (scatter - alpha_bus 1^T) omega
     q_sens = scatter[keep] - np.outer(alpha_bus[keep], np.ones(n_w))
 
-    k_i, l_i = net.from_index[line], net.to_index[line]
-    pin_keep = inc_keep[:, [line]].toarray()[:, 0]  # d gap / d theta[keep]
+    f, to = net.from_index, net.to_index
+    k_i, l_i = f[line], to[line]
+    pin_keep = (keep == k_i) * 1.0 - (keep == l_i)  # d gap / d theta[keep]
 
     def split(z):
         theta = np.zeros(n)
@@ -139,16 +137,13 @@ def nonlinear_instanton(
 
     def balance(z):
         theta, omega = split(z)
-        gamma = inc.T @ theta
-        flows = net.beta * np.sin(gamma)
+        flows = net.beta * np.sin(theta[f] - theta[to])
         q = base_q[keep] + q_sens @ omega
-        return inc_keep @ flows - q
+        return net.outflow(flows)[keep] - q
 
     def balance_jac(z):
         theta, _ = split(z)
-        gamma = inc.T @ theta
-        d = net.beta * np.cos(gamma)
-        j_theta = (inc_keep @ scipy.sparse.diags(d) @ inc_keep.T).toarray()
+        j_theta = net.laplacian(net.beta * np.cos(theta[f] - theta[to])).toarray()
         return np.hstack([j_theta, -q_sens])
 
     def pin(z):

@@ -1,12 +1,15 @@
 """Grid model: buses, generators, lines, and the Laplacian operators.
 
-The network is a connected graph with susceptance-weighted lines. All
-linear analysis runs through the weighted Laplacian ``B = A diag(beta) A^T``
-grounded at the slack bus: with the slack row and column deleted the
-reduced matrix is symmetric positive definite, and one sparse
+The network is a connected graph with susceptance-weighted lines. Every
+angle-space computation uses two operators of the n x m incidence ``A``,
+each assembled once: the bus balance ``A f`` (Network.outflow) and the
+weighted Laplacian ``B = A diag(w) A^T`` grounded at the slack bus
+(Network.laplacian), for any line weights ``w``. With positive weights
+the grounded matrix is symmetric positive definite, and one sparse
 factorization of it (LaplacianOperator) gives, for any balanced injection
 vector ``q``, the angles with ``B theta = q`` and ``theta[slack] = 0``.
-The line gap sensitivities (GapSensitivity) come from one such solve.
+The line gap sensitivities (GapSensitivity) come from one such solve
+under the susceptances (Network.laplacian_op).
 
 Angles, flows, and injections are all in per-unit with uniform voltage
 magnitudes, so the flow on line ``k = (i, j)`` is ``beta_k (theta_i -
@@ -336,28 +339,18 @@ class SpanningTree:
 
 
 class LaplacianOperator:
-    """Weighted Laplacian of a connected network with a grounded slack bus.
+    """A grounded weighted Laplacian (Network.laplacian) and its factors.
 
-    ``reduced`` is the Laplacian with the slack row and column removed,
-    assembled sparse from the lines; it is symmetric positive definite
-    on a connected network. One sparse LU factorization of it, under a
-    symmetric minimum-degree ordering, serves every solve.
+    ``reduced`` is the matrix it is given, symmetric positive definite
+    when every weight is positive. One sparse LU factorization of it,
+    under a symmetric minimum-degree ordering, serves every solve.
     """
 
-    def __init__(self, from_index, to_index, beta, non_slack_index):
-        n = non_slack_index.size + 1
-        pos = np.full(n, -1)
-        pos[non_slack_index] = np.arange(n - 1)
-        f, t = pos[from_index], pos[to_index]
-        rows, cols = np.concatenate([f, t, f, t]), np.concatenate([f, t, t, f])
-        vals = np.concatenate([beta, beta, -beta, -beta])
-        grounded = (rows >= 0) & (cols >= 0)  # drop the slack's row and column
-        self.reduced = scipy.sparse.csc_array(
-            (vals[grounded], (rows[grounded], cols[grounded])), shape=(n - 1, n - 1)
-        )
+    def __init__(self, reduced: scipy.sparse.csc_array, non_slack_index: np.ndarray):
+        self.reduced = reduced
         self._keep = non_slack_index
         self._lu = scipy.sparse.linalg.splu(
-            self.reduced, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
+            reduced, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
         )
 
     def solve(self, q: np.ndarray) -> np.ndarray:
@@ -526,10 +519,30 @@ class Network:
             (np.repeat([1.0, -1.0], m), (ends, np.tile(np.arange(m), 2))), shape=(self.n_bus, m)
         )
 
+    def laplacian(self, w: np.ndarray) -> scipy.sparse.csc_array:
+        """The grounded weighted Laplacian ``A[keep] diag(w) A[keep]^T``, sparse
+        (n - 1) x (n - 1), for any line weights w (negative ones too)."""
+        n = self.n_bus
+        pos = np.full(n, -1)
+        pos[self.non_slack_index] = np.arange(n - 1)
+        f, t = pos[self.from_index], pos[self.to_index]
+        rows, cols = np.concatenate([f, t, f, t]), np.concatenate([f, t, t, f])
+        vals = np.concatenate([w, w, -w, -w])
+        grounded = (rows >= 0) & (cols >= 0)  # drop the slack's row and column
+        return scipy.sparse.csc_array(
+            (vals[grounded], (rows[grounded], cols[grounded])), shape=(n - 1, n - 1)
+        )
+
+    def outflow(self, flow: np.ndarray) -> np.ndarray:
+        """The bus balance ``A flow``: the line flows leaving each bus."""
+        n = self.n_bus
+        return np.bincount(self.from_index, flow, n) - np.bincount(self.to_index, flow, n)
+
     @cached_property
     def laplacian_op(self) -> LaplacianOperator:
-        """The factored grounded Laplacian (built on first use, then cached)."""
-        return LaplacianOperator(self.from_index, self.to_index, self.beta, self.non_slack_index)
+        """The factored grounded Laplacian of the susceptances (built on first
+        use, then cached)."""
+        return LaplacianOperator(self.laplacian(self.beta), self.non_slack_index)
 
     @cached_property
     def gap_sensitivity(self) -> GapSensitivity:

@@ -15,9 +15,10 @@ reports boundary_hit.
 
 Two independent solvers are provided. solve_pf eliminates conservation
 exactly through a spanning-tree parameterization and runs Newton on the
-chord flows; energy_function_solve minimizes the classical energy
-function in angle space. Their agreement on interior instances is a
-standing cross-check used by the test suite. solve_pf is the
+chord flows; energy_function_solve runs Newton on the classical energy
+function in angle space, each step one sparse solve with the grounded
+Laplacian (Network.laplacian). Their agreement on interior instances is
+a standing cross-check used by the test suite. solve_pf is the
 single-sample case of solve_pf_batch, which runs that Newton over a
 stack of injection vectors at once (Monte Carlo re-solves a sub-batch
 of samples per call).
@@ -48,11 +49,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
 
 from .errors import DomainError, NoConvergenceError, UnbalancedInjectionsError
-from .network import Network
+from .network import LaplacianOperator, Network
 
 logger = logging.getLogger(__name__)
 
@@ -328,70 +327,60 @@ def energy_function_solve(net: Network, injections: np.ndarray) -> FlowState:
     its stationary points satisfy the sine flow equations
     sum_j beta_ij sin(theta_i - theta_j) = q_i. Started from zero angles
     (whose first Newton step is the DC solution), this finds the
-    small-angle stationary point when one exists. No thermal caps are
+    small-angle stationary point when one exists, each step weighting the
+    Laplacian by max(beta cos(gap), 1e-3 beta). No thermal caps are
     applied here; the function exists to cross-check solve_pf.
     """
     q = np.asarray(injections, dtype=float)
+    if q.shape != (net.n_bus,):
+        raise UnbalancedInjectionsError(f"injection vector length {q.shape} != ({net.n_bus},)")
     if abs(q.sum()) > 1e-9:
         raise UnbalancedInjectionsError(f"injections sum to {q.sum():.3e}, not 0")
-    n = net.n_bus
-    keep = net.non_slack_index
-    a_red = net.incidence[keep]
-    q_red = q[keep]
-    beta = net.beta
-    theta_red = np.zeros(n - 1)
+    f, to, beta, keep = net.from_index, net.to_index, net.beta, net.non_slack_index
 
-    def value(tr):
-        diff = a_red.T @ tr
-        return 0.5 * (np.sum(beta * (1.0 - np.cos(diff))) - tr @ q_red)
+    def value(th):
+        return 0.5 * (np.sum(beta * (1.0 - np.cos(th[f] - th[to]))) - th @ q)
 
-    for iters in range(1, MAX_ITER_ENERGY + 1):
-        diff = a_red.T @ theta_red
-        residual = a_red @ (beta * np.sin(diff)) - q_red
+    def mismatch(th):
+        # the sine balance at every bus but the slack, whose row it leaves 0
+        r = net.outflow(beta * np.sin(th[f] - th[to])) - q
+        r[net.slack_index] = 0.0
+        return r
+
+    theta = np.zeros(net.n_bus)
+    for iters in range(1, MAX_ITER_ENERGY + 2):
+        residual = mismatch(theta)
         if np.max(np.abs(residual), initial=0.0) <= TOL_ENERGY:
             break
-        weights = beta * np.cos(diff)
-        # keep the Newton matrix positive definite; the line search on
-        # the true energy keeps this a descent method regardless.
-        # the overall 1/2 scaling cancels between gradient and Hessian.
-        H = (a_red @ scipy.sparse.diags(np.maximum(weights, 1e-3 * beta)) @ a_red.T).toarray()
-        try:
-            step = -scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), residual)
-        except scipy.linalg.LinAlgError:
-            step = -0.5 * residual
-        # full Newton step when it contracts the residual (always true
-        # near the solution); otherwise damp on the energy value, whose
-        # decrease is resolvable far from the optimum
-        r_full = a_red @ (beta * np.sin(a_red.T @ (theta_red + step))) - q_red
-        if np.linalg.norm(r_full) <= 0.9 * np.linalg.norm(residual):
-            theta_red = theta_red + step
-            continue
-        val0 = value(theta_red)
-        slope = float(0.5 * residual @ step)
-        t = 1.0
-        for _ in range(60):
-            if value(theta_red + t * step) <= val0 + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        theta_red = theta_red + t * step
-    else:  # the last step's residual is still unchecked
-        diff = a_red.T @ theta_red
-        residual = a_red @ (beta * np.sin(diff)) - q_red
-        if np.max(np.abs(residual), initial=0.0) > TOL_ENERGY:
+        if iters > MAX_ITER_ENERGY:
             raise NoConvergenceError(
                 f"energy newton residual {np.max(np.abs(residual)):.3e} after "
                 f"{MAX_ITER_ENERGY} iterations"
             )
-
-    theta = np.zeros(n)
-    theta[keep] = theta_red
-    diff = theta[net.from_index] - theta[net.to_index]
-    rho = np.sin(diff)
+        # keep the Newton matrix positive definite; the line search on
+        # the true energy keeps this a descent method regardless.
+        # the overall 1/2 scaling cancels between gradient and Hessian.
+        weights = np.maximum(beta * np.cos(theta[f] - theta[to]), 1e-3 * beta)
+        step = -LaplacianOperator(net.laplacian(weights), keep).solve(residual)
+        # full Newton step when it contracts the residual (always true
+        # near the solution); otherwise damp on the energy value, whose
+        # decrease is resolvable far from the optimum
+        if np.linalg.norm(mismatch(theta + step)) <= 0.9 * np.linalg.norm(residual):
+            theta = theta + step
+            continue
+        val0 = value(theta)
+        slope = float(0.5 * residual @ step)
+        t = 1.0
+        for _ in range(60):
+            if value(theta + t * step) <= val0 + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        theta = theta + t * step
     return FlowState(
-        rho=rho,
+        rho=np.sin(theta[f] - theta[to]),
         theta=theta,
         feasible=True,
         boundary_hit=False,
-        objective=float(value(theta_red)),
+        objective=float(value(theta)),
         iterations=iters,
     )

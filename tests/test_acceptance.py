@@ -21,6 +21,7 @@ from syncopf import (
     Generator,
     Line,
     Network,
+    energy_function_solve,
     injection_vector,
     parse_case,
     read_report,
@@ -305,6 +306,18 @@ def test_criterion_8_scalability(tmp_path):
     assert code == 0
     assert elapsed < 60.0
     print(f"criterion 8: PASS (1000 buses, 1500 lines in {elapsed:.1f}s)")
+
+
+def test_energy_oracle_agrees_with_solve_pf_at_1000_buses():
+    # the criterion-8 grid at its CC-OPF dispatch, where a dense angle-space
+    # Hessian made the energy oracle slow
+    net = synthetic_grid()
+    chance = ChanceSpec.uniform(net, eps_line=0.02, eps_sync=1e-4, eps_gen=0.05)
+    q = injection_vector(net, solve_cc_opf(net, chance).dispatch)
+    convex, energy = solve_pf(net, q, enforce_thermal_cap=False), energy_function_solve(net, q)
+    assert convex.feasible
+    assert np.max(np.abs(convex.rho - energy.rho)) <= 1e-8
+    assert np.max(np.abs(convex.theta - energy.theta)) <= 1e-8
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -459,6 +459,13 @@ def test_matpower_import(tmp_path):
     assert np.all(chance.eps_line == 0.05)
 
 
+@pytest.mark.parametrize("name", ["no_such_case.m", ""], ids=["missing", "directory"])
+def test_matpower_unreadable_file(tmp_path, name):
+    # the same error as parse_case on a file it cannot read
+    with pytest.raises(ParseError, match="cannot read MATPOWER file"):
+        import_matpower(tmp_path / name)
+
+
 def test_matpower_bad_reactance(tmp_path):
     path = tmp_path / "bad.m"
     path.write_text(MATPOWER_FIXTURE.replace("0.01\t0.05", "0.01\t-0.05"))

@@ -552,6 +552,37 @@ def _feasible_draws(table, lo_p, hi_p, total, rng, n_mixed=10_000):
     return P, A
 
 
+def _largest_gap_function_forms(dmat, offset, lo_p, hi_p, total):
+    # cc_opf._largest_gap written with numpy's take_along_axis, clip and sum
+    order = np.argsort(dmat, axis=1)
+    d_sorted = np.take_along_axis(dmat, order, axis=1)
+    room = np.maximum(hi_p - lo_p, 0.0)[order]
+    spare = total - float(np.sum(lo_p))
+
+    def greedy(d, room):
+        before = np.cumsum(room, axis=1) - room
+        return np.sum(d * np.clip(spare - before, 0.0, room), axis=1)
+
+    base = dmat @ lo_p + offset
+    return np.maximum(base + greedy(d_sorted[:, ::-1], room[:, ::-1]),
+                      -(base - greedy(-d_sorted, room)))
+
+
+def test_largest_gap_keeps_its_bits():
+    rng = np.random.default_rng(17)
+    for rows, g in ((9, 3), (40, 7), (1, 1)):
+        dmat, offset = rng.normal(size=(rows, g)), rng.normal(size=rows)
+        lo_p = rng.uniform(0.0, 1.0, g)
+        hi_p = lo_p + rng.uniform(-0.2, 2.0, g)  # an empty range has no room
+        total = float(lo_p.sum() + rng.uniform(0.0, 1.0) * np.maximum(hi_p - lo_p, 0.0).sum())
+        args = dmat, offset, lo_p, hi_p, total
+        assert np.array_equal(cc_mod._largest_gap(*args), _largest_gap_function_forms(*args))
+    net, chance = parse_case("cases/case9_wind.json")
+    table = build_conic_constraints(net, chance)
+    args = table.gen, table.offset, *_generation_box(net, chance)
+    assert np.array_equal(cc_mod._largest_gap(*args), _largest_gap_function_forms(*args))
+
+
 def _conic_slacks(table, sens, P, A):
     # (thermal, sync) slacks, draws x lines, straight from the definitions
     mean = np.abs(P @ table.gen.T + table.offset)

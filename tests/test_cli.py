@@ -402,10 +402,13 @@ def test_ccopf_plot_data_matches_golden_bytes(case, golden, capsys, tmp_path):
      "pf_case9_wind.json"),
     (["risk", "--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json"),
       "--line", "4,5", "--threshold", "0.5", "--eps", "0.01"], "risk_case9_wind.json"),
+    (["risk", "--case", "cases/case9_wind.json", "--dispatch", str(DATA / "ccopf_case9_wind.json"),
+      "--line", "4,5", "--threshold", "0.5", "--eps", "0.01", "--nonlinear"],
+     "risk_nonlinear_case9_wind.json"),
     (["solve", "barrier", "--case", "cases/case9_wind.json"], "barrier_case9_wind_bytes.json"),
     (["solve", "barrier", "--case", str(DATA / "mesh100.json")], "barrier_mesh100_bytes.json"),
-], ids=["ccopf-csv-case9", "ccopf-csv-mesh100", "pf-case9", "risk-case9", "barrier-case9",
-        "barrier-mesh100"])
+], ids=["ccopf-csv-case9", "ccopf-csv-mesh100", "pf-case9", "risk-case9", "risk-nonlinear-case9",
+        "barrier-case9", "barrier-mesh100"])
 def test_report_readers_and_csv_match_golden_bytes(argv, golden, capsys):
     code, out = run(capsys, argv)
     assert code == 0

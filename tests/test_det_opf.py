@@ -23,7 +23,7 @@ from syncopf.det_opf import (
     solve_dc_opf,
     solve_scopf,
 )
-from syncopf.errors import BarrierDivergenceError, NoConvergenceError
+from syncopf.errors import BarrierDivergenceError, NoConvergenceError, ValidationError
 from syncopf.network import injection_vector
 from syncopf.powerflow import psi_second, solve_pf
 
@@ -178,6 +178,23 @@ def test_barrier_recovery_cost_bound():
     cfg = barrier_config_from_dc(net, epsilon=0.01)
     res = solve_barrier_opf(net, cfg)
     assert res.recovery_cost_bound_ok(net)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"])
+def test_barrier_cost_floor_must_be_finite_and_positive(floor):
+    with pytest.raises(ValidationError, match="cost_floor"):
+        BarrierConfig(epsilon=0.01, cost_floor=floor)
+
+
+def test_outflow_net_of_generation_keeps_its_bits():
+    # (from - to) - generation, summed in that order, as the barrier's
+    # residuals and right-hand sides were before Network.outflow
+    net = parse_case(MESH100)[0]
+    rng = np.random.default_rng(5)
+    flow, p, n = rng.normal(size=net.n_line), rng.normal(size=net.n_gen), net.n_bus
+    want = (np.bincount(net.from_index, flow, n) - np.bincount(net.to_index, flow, n)
+            - np.bincount(net.gen_bus_index, p, n))
+    assert np.array_equal(det_opf._outflow(net, flow, p), want)
 
 
 def test_barrier_epsilon_refines_cost():

@@ -1,7 +1,8 @@
 """Tests for the grid model and Laplacian operators.
 
 Covers: construction validation, incidence/Laplacian structure, the
-grounded reduced inverse, the sparse gap sensitivities against the dense
+grounded Laplacian and bus balance for any line weights, the grounded
+reduced inverse, the sparse gap sensitivities against the dense
 one and their memory, injection vectors under affine response, and
 randomized consistency of the linear solve.
 """
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from syncopf import (
     Bus,
@@ -122,6 +124,49 @@ def test_reduced_inverse_symmetric():
     net = random_connected(rng, 12)
     bred = net.laplacian_op.reduced_inverse()
     assert np.allclose(bred, bred.T, atol=1e-12)
+
+
+def test_laplacian_matches_dense_product_for_any_weights():
+    # negative weights too: the nonlinear instanton weighs by beta cos(gap)
+    rng = np.random.default_rng(21)
+    for n in (2, 9, 30):
+        net = random_connected(rng, n)
+        A = net.incidence.toarray()[net.non_slack_index]
+        for w in (rng.uniform(0.1, 3.0, net.n_line), rng.normal(size=net.n_line)):
+            got = net.laplacian(w)
+            assert got.shape == (n - 1, n - 1)
+            assert np.allclose(got.toarray(), (A * w) @ A.T, rtol=0, atol=1e-12)
+
+
+def test_outflow_is_incidence_times_flow():
+    rng = np.random.default_rng(22)
+    net = random_connected(rng, 25)
+    flow = rng.normal(size=net.n_line)
+    assert np.allclose(net.outflow(flow), net.incidence @ flow, rtol=0, atol=1e-12)
+
+
+def triplet_reduced(net):
+    """The grounded Laplacian as LaplacianOperator assembled it from the lines
+    before Network.laplacian existed: the reference for its bits."""
+    n = net.n_bus
+    pos = np.full(n, -1)
+    pos[net.non_slack_index] = np.arange(n - 1)
+    f, t = pos[net.from_index], pos[net.to_index]
+    rows, cols = np.concatenate([f, t, f, t]), np.concatenate([f, t, t, f])
+    vals = np.concatenate([net.beta, net.beta, -net.beta, -net.beta])
+    grounded = (rows >= 0) & (cols >= 0)
+    return scipy.sparse.csc_array(
+        (vals[grounded], (rows[grounded], cols[grounded])), shape=(n - 1, n - 1)
+    )
+
+
+@pytest.mark.parametrize("path", ["cases/case9_wind.json", "tests/data/mesh100.json"],
+                         ids=["case9", "mesh100"])
+def test_laplacian_op_reduced_keeps_its_bits(path):
+    net = parse_case(ROOT / path)[0]
+    got, want = net.laplacian_op.reduced, triplet_reduced(net)
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def shared_and_slack_generators():

@@ -412,6 +412,16 @@ def test_energy_two_bus_matches_solve_pf():
     assert abs((fs.theta[0] - fs.theta[1]) - np.pi / 6.0) < 1e-8
 
 
+def test_energy_rejects_wrong_length_injections():
+    # a balanced 10-entry vector on the 9-bus case: solve_pf's check and message
+    net = parse_case("cases/case9_wind.json")[0]
+    q = np.zeros(10)
+    q[:2] = 0.1, -0.1
+    for solve in (solve_pf, energy_function_solve):
+        with pytest.raises(UnbalancedInjectionsError, match=r"injection vector length \(10,\) != \(9,\)"):
+            solve(net, q)
+
+
 def test_energy_zero_injections():
     net = triangle()
     fs = energy_function_solve(net, np.zeros(3))
