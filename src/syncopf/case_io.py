@@ -16,23 +16,27 @@ The native case format is a single JSON document:
     }
 
 Demands, wind, and limits are per-unit. Parallel lines between one bus
-pair are merged by summing beta and pbar. A MATPOWER import shim covers
+pair are merged by summing beta and pbar. A chance override sets the
+budgets of one line ("from"/"to") or one generator ("gen"); a key that
+does not apply to it is a ParseError. A MATPOWER import shim covers
 topology, limits, and polynomial costs; resistance and voltage data are
 dropped with a logged warning since the model is lossless and
 voltage-uniform.
 
-parse_case_dict reads buses, generators and lines as columns, one array
-per field, and hands them to Network as they are: no entry object is made.
-A column of plain numbers is converted in one step; any other column is
-read value by value by _whole or _number. The rules of Bus, Generator and
-Line (network.BUS_RULES, ...) are checked as array predicates on the
-columns. A malformed case raises the error that reading its entries one by
-one would raise: that of the first entry with a field of the wrong kind or
-a broken rule, the first such field or rule of that entry.
+parse_case_dict reads the entries as columns through _CASE_KEYS, one array
+per field of Bus, Generator or Line, and hands them to Network as they are:
+no entry object is made. A column of plain numbers is converted in one
+step; any other column is read value by value by _whole or _number. Each
+entry type's RULES are checked as array predicates on the columns. A
+malformed case raises the error that reading its entries one by one would
+raise: that of the first entry with a field of the wrong kind or a broken
+rule, the first such field or rule of that entry.
 
 Reports serialize deterministically through one writer, write_json:
 fixed key order, json's indent=2 layout, floats rounded to 12
 significant digits, so byte-identical runs are byte-identical files.
+LINE_FIELDS, GENERATOR_FIELDS and ITERATION_FIELDS map each key of a
+report's rows, in written order, to the reader of its column.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ import json
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -50,8 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .network import (BUS_RULES, GENERATOR_RULES, LINE_RULES, Bus, Generator, Line, Network,
-                      entry_columns, first_broken, id_column)
+from .network import Bus, Generator, Line, Network, entry_columns, first_broken, id_column
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +63,17 @@ SCHEMA_VERSION = "1"
 DEFAULT_EPS_LINE = 0.05
 DEFAULT_EPS_SYNC = 0.0005  # ~two orders below the thermal default
 DEFAULT_EPS_GEN = 0.05
+
+# The budget families of the entries a chance override names: the case keys
+# that name one entry (a line by its two ends, a generator by its index) and,
+# in ChanceSpec's field order, each family the override may set, with its
+# default budget.
+_LINE_ENDS = ("from", "to")
+_BUDGETS = {Line: (_LINE_ENDS, {"eps_line": DEFAULT_EPS_LINE, "eps_sync": DEFAULT_EPS_SYNC}),
+            Generator: (("gen",), {"eps_gen": DEFAULT_EPS_GEN})}
+# ... and each family's case key for its default budget, and that default
+_DEFAULTS = {name: (f"{name}_default", default)
+             for _, families in _BUDGETS.values() for name, default in families.items()}
 
 
 def _check_eps(value: float, label: str) -> float:
@@ -82,7 +96,7 @@ class ChanceSpec:
     eps_gen: np.ndarray
 
     def __post_init__(self):
-        for name in ("eps_line", "eps_sync", "eps_gen"):
+        for name in _DEFAULTS:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if np.count_nonzero((arr <= 0.0) | (arr > 0.5)):
@@ -109,23 +123,10 @@ class ChanceSpec:
         eps_gen: float | None = None,
     ) -> "ChanceSpec":
         """Uniform override of one or more budget families."""
-        return ChanceSpec(
-            eps_line=np.full_like(self.eps_line, _check_eps(eps_line, "eps_line"))
-            if eps_line is not None
-            else self.eps_line,
-            eps_sync=np.full_like(self.eps_sync, _check_eps(eps_sync, "eps_sync"))
-            if eps_sync is not None
-            else self.eps_sync,
-            eps_gen=np.full_like(self.eps_gen, _check_eps(eps_gen, "eps_gen"))
-            if eps_gen is not None
-            else self.eps_gen,
-        )
-
-
-def _require(obj: dict, key: str, ctx: str):
-    if key not in obj:
-        raise ParseError(f"{ctx}: missing required field '{key}'")
-    return obj[key]
+        return ChanceSpec(**{
+            name: getattr(self, name) if value is None
+            else np.full_like(getattr(self, name), _check_eps(value, name))
+            for name, value in zip(_DEFAULTS, (eps_line, eps_sync, eps_gen))})
 
 
 def _not_text(value):
@@ -191,35 +192,38 @@ def _column(entries: list, key: str, whole: bool, default) -> tuple[np.ndarray, 
     return (id_column(values) if whole else np.array(values, dtype=float)), error
 
 
-# The fields of a case's buses, generators and lines: each entry field, its
-# key in the case, whether it is a whole number, and its default (None where
-# the key is required), in the order an entry's fields are read.
-_BUS_KEYS = (("id", "id", True, None), ("demand", "d", False, 0.0),
-             ("wind_mean", "mu", False, 0.0), ("wind_sigma", "sigma", False, 0.0))
-_GENERATOR_KEYS = (("bus", "bus", True, None), ("pmin", "pmin", False, None),
-                   ("pmax", "pmax", False, None), ("c1", "c1", False, 0.0),
-                   ("c2", "c2", False, 0.0), ("c3", "c3", False, 0.0))
-_LINE_KEYS = (("from_bus", "from", True, None), ("to_bus", "to", True, None),
-              ("beta", "beta", False, None), ("pbar", "pbar", False, None))
+# The case keys of each entry type: the list that holds its entries and the
+# key of each of its fields, in field order.
+_CASE_KEYS = {Bus: ("buses", ("id", "d", "mu", "sigma")),
+              Generator: ("generators", ("bus", "pmin", "pmax", "c1", "c2", "c3")),
+              Line: ("lines", (*_LINE_ENDS, "beta", "pbar"))}
+# ... and, derived once, each field with its key, whether it is a whole
+# number, and its default (None where the key is required)
+_SCHEMA = {kind: tuple((f.name, key, f.type == "int", None if f.default is MISSING else f.default)
+                       for f, key in zip(fields(kind), keys))
+           for kind, (_, keys) in _CASE_KEYS.items()}
 
 
-def _entries(doc: dict, name: str, ctx: str, keys: tuple, rules: tuple) -> dict:
-    """The list doc[name] as one column per entry field, checked as if
-    entry by entry: the first entry that holds a field of the wrong kind
-    (a ParseError naming the entry by its index) or breaks one of rules
-    (that rule's error) is the one reported."""
+def _entries(doc: dict, ctx: str, kind) -> dict:
+    """The entries of kind (Bus, Generator or Line) in doc as one column per
+    field, checked as if entry by entry: the first entry that holds a field
+    of the wrong kind (a ParseError naming the entry by its index) or breaks
+    one of kind.RULES (that rule's error) is the one reported."""
+    name = _CASE_KEYS[kind][0]
+    if name not in doc:
+        raise ParseError(f"{ctx}: missing required field '{name}'")
     try:
-        entries = list(_require(doc, name, ctx))
+        entries = list(doc[name])
     except TypeError as exc:
         raise ParseError(f"{ctx}: {name}[0]: {exc}") from exc
     columns, bad, error = {}, len(entries), None
-    for field_name, key, whole, default in keys:
+    for field_name, key, whole, default in _SCHEMA[kind]:
         column, field_error = _column(entries, key, whole, default)
         columns[field_name] = column
         if field_error is not None and column.size < bad:
             bad, error = column.size, field_error
     # the entries before the first unreadable one, checked against the rules
-    broken = first_broken(rules, columns if error is None else
+    broken = first_broken(kind.RULES, columns if error is None else
                           {key: column[:bad] for key, column in columns.items()})
     if broken is not None:
         raise broken
@@ -263,11 +267,11 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     if version != SCHEMA_VERSION:
         raise ParseError(f"{ctx}: unrecognized schema_version {version!r}")
 
-    buses = _entries(doc, "buses", ctx, _BUS_KEYS, BUS_RULES)
-    gens = _entries(doc, "generators", ctx, _GENERATOR_KEYS, GENERATOR_RULES)
+    buses = _entries(doc, ctx, Bus)
+    gens = _entries(doc, ctx, Generator)
     if not gens["bus"].size:
         raise ValidationError(f"{ctx}: at least one generator required")
-    lines = _merge_parallel(_entries(doc, "lines", ctx, _LINE_KEYS, LINE_RULES))
+    lines = _merge_parallel(_entries(doc, ctx, Line))
 
     try:
         slack = _whole(doc, "slack_bus") if doc.get("slack_bus") is not None else None
@@ -279,12 +283,8 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     if not isinstance(chance_doc, dict):
         raise ParseError(f"{ctx}: chance: must be an object, not {type(chance_doc).__name__}")
     try:
-        spec = ChanceSpec.uniform(
-            net,
-            eps_line=_number(chance_doc, "eps_line_default", DEFAULT_EPS_LINE),
-            eps_sync=_number(chance_doc, "eps_sync_default", DEFAULT_EPS_SYNC),
-            eps_gen=_number(chance_doc, "eps_gen_default", DEFAULT_EPS_GEN),
-        )
+        spec = ChanceSpec.uniform(net, **{name: _number(chance_doc, key, default)
+                                          for name, (key, default) in _DEFAULTS.items()})
     except ValueError as exc:
         raise ParseError(f"{ctx}: chance: {exc}") from exc
     overrides = chance_doc.get("overrides", [])
@@ -292,31 +292,31 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
         raise ParseError(f"{ctx}: chance.overrides: must be a list, not {type(overrides).__name__}")
     if not overrides:
         return net, spec
-    eps_line = spec.eps_line.copy()
-    eps_sync = spec.eps_sync.copy()
-    eps_gen = spec.eps_gen.copy()
+    budgets = {name: getattr(spec, name).copy() for name in _DEFAULTS}
     for i, ov in enumerate(overrides):
         c = f"{ctx}: chance.overrides[{i}]"
         if not isinstance(ov, dict):
             raise ParseError(f"{c}: must be an object, not {type(ov).__name__}")
+        kind = next((kind for kind, (keys, _) in _BUDGETS.items()
+                     if all(key in ov for key in keys)), None)
+        if kind is None:
+            raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
+        keys, families = _BUDGETS[kind]
+        stray = [key for key in ov if key not in keys and key not in families]
+        if stray:
+            raise ParseError(f"{c}: key {stray[0]!r} does not apply to a "
+                             f"{kind.__name__.lower()} override")
         try:
-            if "gen" in ov:
-                gi = _whole(ov, "gen")
-                if not (0 <= gi < net.n_gen):
-                    raise ValidationError(f"{c}: generator index {gi} out of range")
-                if "eps_gen" in ov:
-                    eps_gen[gi] = _check_eps(_number(ov, "eps_gen"), f"{c}: eps_gen")
-            elif "from" in ov and "to" in ov:
-                li = net.line_between(_whole(ov, "from"), _whole(ov, "to"))
-                if "eps_line" in ov:
-                    eps_line[li] = _check_eps(_number(ov, "eps_line"), f"{c}: eps_line")
-                if "eps_sync" in ov:
-                    eps_sync[li] = _check_eps(_number(ov, "eps_sync"), f"{c}: eps_sync")
-            else:
-                raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
+            ids = [_whole(ov, key) for key in keys]
+            index = net.line_between(*ids) if kind is Line else ids[0]
+            if kind is Generator and not 0 <= index < net.n_gen:
+                raise ValidationError(f"{c}: generator index {index} out of range")
+            for name in families:
+                if name in ov:
+                    budgets[name][index] = _check_eps(_number(ov, name), f"{c}: {name}")
         except ValueError as exc:
             raise ParseError(f"{c}: {exc}") from exc
-    return net, ChanceSpec(eps_line=eps_line, eps_sync=eps_sync, eps_gen=eps_gen)
+    return net, ChanceSpec(**budgets)
 
 
 def _read_json(source, what: str):
@@ -343,57 +343,26 @@ def parse_case(path) -> tuple[Network, ChanceSpec]:
 
 
 def serialize_case(net: Network, chance: ChanceSpec) -> dict:
-    """Inverse of parse_case_dict up to default filling and line merging."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "slack_bus": net.slack_bus,
-        "buses": [
-            {"id": b.id, "d": b.demand, "mu": b.wind_mean, "sigma": b.wind_sigma}
-            for b in net.buses
-        ],
-        "generators": [
-            {
-                "bus": g.bus,
-                "pmin": g.pmin,
-                "pmax": g.pmax,
-                "c1": g.c1,
-                "c2": g.c2,
-                "c3": g.c3,
-            }
-            for g in net.generators
-        ],
-        "lines": [
-            {"from": l.from_bus, "to": l.to_bus, "beta": l.beta, "pbar": l.pbar}
-            for l in net.lines
-        ],
-        "chance": {
-            "eps_line_default": float(chance.eps_line[0]) if net.n_line else DEFAULT_EPS_LINE,
-            "eps_sync_default": float(chance.eps_sync[0]) if net.n_line else DEFAULT_EPS_SYNC,
-            "eps_gen_default": float(chance.eps_gen[0]) if net.n_gen else DEFAULT_EPS_GEN,
-            "overrides": _chance_overrides(net, chance),
-        },
-    }
+    """Inverse of parse_case_dict up to default filling and line merging: the
+    entries from the Network's columns, each budget family's entry 0 as its
+    default, and an override for each entry whose budgets differ from it."""
+    doc = {"schema_version": SCHEMA_VERSION, "slack_bus": net.slack_bus}
+    for kind, (name, keys) in _CASE_KEYS.items():
+        doc[name] = [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in net.columns(kind)))]
+    budgets = {name: getattr(chance, name) for name in _DEFAULTS}
+    doc["chance"] = {key: float(budgets[name][0]) if budgets[name].size else default
+                     for name, (key, default) in _DEFAULTS.items()}
+    # a line is named by its ends, its first fields; a generator by its index
+    named_by = {Line: [end.tolist() for end in net.columns(Line)[:len(_LINE_ENDS)]],
+                Generator: [range(net.n_gen)]}
+    overrides = doc["chance"]["overrides"] = []
+    for kind, (keys, families) in _BUDGETS.items():  # lines, then generators
+        differs = {name: budgets[name] != budgets[name][:1] for name in families}
+        for k in np.flatnonzero(np.any(list(differs.values()), axis=0)).tolist():
+            overrides.append({key: column[k] for key, column in zip(keys, named_by[kind])}
+                             | {name: float(budgets[name][k])
+                                for name in families if differs[name][k]})
     return doc
-
-
-def _chance_overrides(net: Network, chance: ChanceSpec) -> list[dict]:
-    out = []
-    if net.n_line:
-        base_l, base_s = float(chance.eps_line[0]), float(chance.eps_sync[0])
-        for k, ln in enumerate(net.lines):
-            ov = {}
-            if chance.eps_line[k] != base_l:
-                ov["eps_line"] = float(chance.eps_line[k])
-            if chance.eps_sync[k] != base_s:
-                ov["eps_sync"] = float(chance.eps_sync[k])
-            if ov:
-                out.append({"from": ln.from_bus, "to": ln.to_bus, **ov})
-    if net.n_gen:
-        base_g = float(chance.eps_gen[0])
-        for i in range(net.n_gen):
-            if chance.eps_gen[i] != base_g:
-                out.append({"gen": i, "eps_gen": float(chance.eps_gen[i])})
-    return out
 
 
 # --- JSON output ------------------------------------------------------------
@@ -489,14 +458,6 @@ def write_json(doc) -> bytes:
 
 # --- solution reports -------------------------------------------------------
 
-def _each(kind):
-    """The column reader that converts every value with kind."""
-    return lambda column: list(map(kind, column))
-
-
-_strs = _each(str)
-
-
 def _floats(column: list) -> list:
     """The column of numbers as floats."""
     if not set(map(type, column)) <= {float, int}:  # as json.loads reads numbers
@@ -512,27 +473,42 @@ def _wholes(column: list) -> list:
     return list(map(_whole_value, column))
 
 
-def _bools(column: list) -> list:
-    """The column, whose values must be JSON booleans."""
-    if not set(map(type, column)) <= {bool}:
-        wrong = next(v for v in column if type(v) is not bool)
-        raise ValueError(f"must be true or false, got {wrong!r}")
-    return column
+def _one_of(*values):
+    """The column reader that takes only these JSON values: true is not 1."""
+    kinds, allowed = set(map(type, values)), set(values)
+
+    def read(column: list) -> list:
+        if not (set(map(type, column)) <= kinds and set(column) <= allowed):
+            wrong = next(v for v in column if type(v) not in kinds or v not in values)
+            raise ValueError(f"must be {' or '.join(map(json.dumps, values))}, got {wrong!r}")
+        return column
+    return read
+
+
+# the kind of a cut, as a report's iteration rows name it; cc_opf.violations
+# pairs each line's rows in this order
+CUT_KINDS = ("thermal", "sync")
+
+
+def _text(doc: dict, key: str) -> str:
+    """doc[key], which must be a JSON string."""
+    value = doc[key]
+    if type(value) is not str:
+        raise ValueError(f"field '{key}': must be a string, got {value!r}")
+    return value
 
 
 # The keys of a report's line, generator and cut-iteration rows, in the
-# order they are written, and the reader of each field's column. An
-# iteration row's kind is "thermal" or "sync".
-LINE_FIELDS = ("line", "from", "to", "mean_flow", "prob_thermal", "prob_sync",
-               "binding_thermal", "binding_sync")
-_LINE_KINDS = (_wholes, _wholes, _wholes, _floats, _floats, _floats, _bools, _bools)
-GENERATOR_FIELDS = ("gen", "bus", "prob_bounds")
-_GENERATOR_KINDS = (_wholes, _wholes, _floats)
-ITERATION_FIELDS = ("iteration", "line", "kind", "violation")
-_ITERATION_KINDS = (_wholes, _wholes, _strs, _floats)
+# order they are written, each with the reader of its column.
+LINE_FIELDS = {"line": _wholes, "from": _wholes, "to": _wholes, "mean_flow": _floats,
+               "prob_thermal": _floats, "prob_sync": _floats,
+               "binding_thermal": _one_of(True, False), "binding_sync": _one_of(True, False)}
+GENERATOR_FIELDS = {"gen": _wholes, "bus": _wholes, "prob_bounds": _floats}
+ITERATION_FIELDS = {"iteration": _wholes, "line": _wholes, "kind": _one_of(*CUT_KINDS),
+                    "violation": _floats}
 
 
-def _row_builder(keys: tuple):
+def _row_builder(keys):
     """The function of equal-length columns that returns
     [dict(zip(keys, row)) for row in zip(*columns)], compiled from a dict
     display of keys, which builds a row in about half the time."""
@@ -567,19 +543,17 @@ class SolutionReport:
     iterations: list = field(default_factory=list)
 
     def __post_init__(self):
-        thermal, sync = LINE_FIELDS[4:6]
         for lr in self.lines:
-            if not (0.0 <= lr[thermal] <= 1.0 and 0.0 <= lr[sync] <= 1.0):
+            if not (0.0 <= lr["prob_thermal"] <= 1.0 and 0.0 <= lr["prob_sync"] <= 1.0):
                 raise ValidationError("line probabilities must lie in [0, 1]")
-        bounds = GENERATOR_FIELDS[2]
         for gr in self.generators:
-            if not 0.0 <= gr[bounds] <= 1.0:
+            if not 0.0 <= gr["prob_bounds"] <= 1.0:
                 raise ValidationError("generator probabilities must lie in [0, 1]")
-        last, number = 0, ITERATION_FIELDS[0]
+        last = 0
         for it in self.iterations:
-            if it[number] <= last:
+            if it["iteration"] <= last:
                 raise ValidationError("iteration numbers must be strictly increasing")
-            last = it[number]
+            last = it["iteration"]
 
 
 def report_to_dict(report: SolutionReport) -> dict:
@@ -595,13 +569,14 @@ def report_to_dict(report: SolutionReport) -> dict:
     }
 
 
-def _columns(rows, name: str, keys: tuple, kinds: tuple) -> list[list]:
-    """kind([row[key] for row in rows]) for every key and its column reader
-    kind; ValueError names the list and the field of a malformed row."""
+def _columns(rows, name: str, readers: dict) -> list[list]:
+    """read([row[key] for row in rows]) for every key and its column reader
+    read in readers; ValueError names the list and the field of a malformed
+    row."""
     columns = []
-    for key, kind in zip(keys, kinds):
+    for key, read in readers.items():
         try:
-            columns.append(kind(list(map(itemgetter(key), rows))))
+            columns.append(read(list(map(itemgetter(key), rows))))
         except KeyError:
             raise ValueError(f"{name}: missing field '{key}'") from None
         except (TypeError, ValueError, OverflowError) as exc:
@@ -623,15 +598,14 @@ def report_from_dict(doc) -> SolutionReport:
         raise ParseError("report: top level must be an object")
     try:
         # the dispatch is read as a table of one row, with p and alpha its fields
-        (p,), (alpha,) = _columns([doc["dispatch"]], "dispatch", ("p", "alpha"),
-                                  (_each(_finite_floats),) * 2)
-        lines = _columns(doc["lines"], "lines", LINE_FIELDS, _LINE_KINDS)
-        gens = _columns(doc["generators"], "generators", GENERATOR_FIELDS, _GENERATOR_KINDS)
-        iterations = _columns(doc.get("iterations", []), "iterations",
-                              ITERATION_FIELDS, _ITERATION_KINDS)
+        (p,), (alpha,) = _columns([doc["dispatch"]], "dispatch", dict.fromkeys(
+            ("p", "alpha"), lambda column: list(map(_finite_floats, column))))
+        lines = _columns(doc["lines"], "lines", LINE_FIELDS)
+        gens = _columns(doc["generators"], "generators", GENERATOR_FIELDS)
+        iterations = _columns(doc.get("iterations", []), "iterations", ITERATION_FIELDS)
         return SolutionReport(
-            variant=doc["variant"],
-            status=doc["status"],
+            variant=_text(doc, "variant"),
+            status=_text(doc, "status"),
             objective=_number(doc, "objective"),
             p=p,
             alpha=alpha,
@@ -651,12 +625,12 @@ def write_report(report: SolutionReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return write_json(report_to_dict(report))
     if fmt == "csv":
-        line, *floats = LINE_FIELDS[0], *LINE_FIELDS[3:6]
+        floats = ("mean_flow", "prob_thermal", "prob_sync")
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["line_id", *floats])
         columns = [[f"{lr[key]:.12g}" for lr in report.lines] for key in floats]
-        w.writerows(zip([lr[line] for lr in report.lines], *columns))
+        w.writerows(zip([lr["line"] for lr in report.lines], *columns))
         return buf.getvalue().encode()
     raise ValueError(f"unknown report format {fmt!r}")
 

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc, ndtri
 
-from .case_io import ChanceSpec, iteration_rows
+from .case_io import CUT_KINDS, ChanceSpec, iteration_rows
 from .errors import DomainError, InfeasibleError, IterLimitError, ValidationError
 from .network import Dispatch, GapMoments, Network
 from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
@@ -74,7 +74,6 @@ from .qp import INFEASIBLE, ITER_LIMIT, QuadraticProgram, solve_qp
 logger = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
-_KINDS = ("thermal", "sync")  # order of each line's pair of rows in violations()
 # one tangent of S_line at d_hat: S_line(d) >= s_hat + grad * (d - d_hat)
 CUT_DTYPE = np.dtype([("line", np.intp), ("iteration", np.intp), ("d_hat", float),
                       ("s_hat", float), ("grad", float)])
@@ -387,7 +386,7 @@ def solve_cc_opf(
             )
 
         worst = int(viol.argmax())
-        line, kind = int(kept[worst // 2]), _KINDS[worst % 2]
+        line, kind = int(kept[worst // 2]), CUT_KINDS[worst % 2]
         log.append((it, line, kind, float(viol[worst])))
         if add_all_violated:
             lines = kept[np.unique(np.flatnonzero(viol > tol_cut) // 2)]

@@ -64,7 +64,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import ndtri
@@ -113,26 +113,15 @@ class McReport:
     nl_sync_loss_freq: float | None = None
 
     def to_dict(self) -> dict:
-        doc = {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "nonlinear": self.nonlinear,
-            "ci_z": Z99,
-            "thermal_freq": self.thermal_freq.tolist(),
-            "thermal_pos": self.thermal_pos.tolist(),
-            "thermal_neg": self.thermal_neg.tolist(),
-            "sync_freq": self.sync_freq.tolist(),
-            "sync_pos": self.sync_pos.tolist(),
-            "sync_neg": self.sync_neg.tolist(),
-            "gen_freq": self.gen_freq.tolist(),
-            "gen_over": self.gen_over.tolist(),
-            "gen_under": self.gen_under.tolist(),
-            "solve_failures": self.solve_failures,
-        }
-        if self.nonlinear:
-            doc["nl_thermal_freq"] = self.nl_thermal_freq.tolist()
-            doc["nl_sync_line_freq"] = self.nl_sync_line_freq.tolist()
-            doc["nl_sync_loss_freq"] = self.nl_sync_loss_freq
+        """Every field in order, arrays as lists, with the 99% quantile ci_z
+        after nonlinear; the nl_* fields only for a nonlinear run."""
+        doc = {}
+        for f in fields(self):
+            if self.nonlinear or not f.name.startswith("nl_"):
+                value = getattr(self, f.name)
+                doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+            if f.name == "nonlinear":
+                doc["ci_z"] = Z99
         return doc
 
 

@@ -470,25 +470,29 @@ class Network:
             )
         return arcs
 
+    def columns(self, kind) -> tuple:
+        """One array per field of kind (Bus, Generator or Line), in field
+        order: the buses in id order, generator and line ends as bus ids."""
+        ids = self.bus_ids
+        return {Bus: (ids, self.demand, self.wind_mean, self.wind_sigma),
+                Generator: (ids[self.gen_bus_index], self.pmin, self.pmax, self.cost_quad,
+                            self.cost_lin, self.cost_const),
+                Line: (ids[self.from_index], ids[self.to_index], self.beta, self.pbar)}[kind]
+
     @cached_property
     def buses(self) -> list[Bus]:
         """The buses in id order (built on first read)."""
-        return list(map(Bus, self.bus_ids.tolist(), self.demand.tolist(),
-                        self.wind_mean.tolist(), self.wind_sigma.tolist()))
+        return list(map(Bus, *(column.tolist() for column in self.columns(Bus))))
 
     @cached_property
     def generators(self) -> list[Generator]:
         """The generators (built on first read)."""
-        return list(map(Generator, self.bus_ids[self.gen_bus_index].tolist(), self.pmin.tolist(),
-                        self.pmax.tolist(), self.cost_quad.tolist(), self.cost_lin.tolist(),
-                        self.cost_const.tolist()))
+        return list(map(Generator, *(column.tolist() for column in self.columns(Generator))))
 
     @cached_property
     def lines(self) -> list[Line]:
         """The lines (built on first read)."""
-        ids = self.bus_ids
-        return list(map(Line, ids[self.from_index].tolist(), ids[self.to_index].tolist(),
-                        self.beta.tolist(), self.pbar.tolist()))
+        return list(map(Line, *(column.tolist() for column in self.columns(Line))))
 
     def bus_index(self, bus_id: int) -> int:
         return int(self._positions(np.array([bus_id]), "unknown bus id {}")[0])

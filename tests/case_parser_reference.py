@@ -7,7 +7,13 @@ parallel lines merged through a dict, bus ids mapped through a dict, and
 the Network arrays built from the objects with a breadth-first spanning
 tree over adjacency lists. It returns a ReferenceNetwork, which holds the
 arrays under the Network's names, and the ChanceSpec; a malformed case
-raises what the package raised.
+raises what the package raised. A chance override with a key that does
+not apply to it (a line budget beside 'gen', say) raises ParseError, as
+the package does now; the per-entry parser ignored such a key.
+
+serialize_case writes a Network and its ChanceSpec as the package wrote
+them entry object by entry object, with a loop over the lines and the
+generators for the chance overrides.
 """
 from __future__ import annotations
 
@@ -293,21 +299,81 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[ReferenceNetwork, Cha
     eps_gen = spec.eps_gen.copy()
     for i, ov in enumerate(chance_doc.get("overrides", [])):
         c = f"{ctx}: chance.overrides[{i}]"
+        if "from" in ov and "to" in ov:
+            applies, what = ("from", "to", "eps_line", "eps_sync"), "line"
+        elif "gen" in ov:
+            applies, what = ("gen", "eps_gen"), "generator"
+        else:
+            raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
+        for key in ov:
+            if key not in applies:
+                raise ParseError(f"{c}: key {key!r} does not apply to a {what} override")
         try:
-            if "gen" in ov:
+            if what == "generator":
                 gi = _whole(ov, "gen")
                 if not (0 <= gi < net.n_gen):
                     raise ValidationError(f"{c}: generator index {gi} out of range")
                 if "eps_gen" in ov:
                     eps_gen[gi] = _check_eps(_number(ov, "eps_gen"), f"{c}: eps_gen")
-            elif "from" in ov and "to" in ov:
+            else:
                 li = net.line_between(_whole(ov, "from"), _whole(ov, "to"))
                 if "eps_line" in ov:
                     eps_line[li] = _check_eps(_number(ov, "eps_line"), f"{c}: eps_line")
                 if "eps_sync" in ov:
                     eps_sync[li] = _check_eps(_number(ov, "eps_sync"), f"{c}: eps_sync")
-            else:
-                raise ParseError(f"{c}: override needs 'gen' or 'from'/'to'")
         except ValueError as exc:
             raise ParseError(f"{c}: {exc}") from exc
     return net, ChanceSpec(eps_line=eps_line, eps_sync=eps_sync, eps_gen=eps_gen)
+
+
+def serialize_case(net, chance: ChanceSpec) -> dict:
+    doc = {
+        "schema_version": "1",
+        "slack_bus": net.slack_bus,
+        "buses": [
+            {"id": b.id, "d": b.demand, "mu": b.wind_mean, "sigma": b.wind_sigma}
+            for b in net.buses
+        ],
+        "generators": [
+            {
+                "bus": g.bus,
+                "pmin": g.pmin,
+                "pmax": g.pmax,
+                "c1": g.c1,
+                "c2": g.c2,
+                "c3": g.c3,
+            }
+            for g in net.generators
+        ],
+        "lines": [
+            {"from": l.from_bus, "to": l.to_bus, "beta": l.beta, "pbar": l.pbar}
+            for l in net.lines
+        ],
+        "chance": {
+            "eps_line_default": float(chance.eps_line[0]) if net.n_line else DEFAULT_EPS_LINE,
+            "eps_sync_default": float(chance.eps_sync[0]) if net.n_line else DEFAULT_EPS_SYNC,
+            "eps_gen_default": float(chance.eps_gen[0]) if net.n_gen else DEFAULT_EPS_GEN,
+            "overrides": _chance_overrides(net, chance),
+        },
+    }
+    return doc
+
+
+def _chance_overrides(net, chance: ChanceSpec) -> list[dict]:
+    out = []
+    if net.n_line:
+        base_l, base_s = float(chance.eps_line[0]), float(chance.eps_sync[0])
+        for k, ln in enumerate(net.lines):
+            ov = {}
+            if chance.eps_line[k] != base_l:
+                ov["eps_line"] = float(chance.eps_line[k])
+            if chance.eps_sync[k] != base_s:
+                ov["eps_sync"] = float(chance.eps_sync[k])
+            if ov:
+                out.append({"from": ln.from_bus, "to": ln.to_bus, **ov})
+    if net.n_gen:
+        base_g = float(chance.eps_gen[0])
+        for i in range(net.n_gen):
+            if chance.eps_gen[i] != base_g:
+                out.append({"gen": i, "eps_gen": float(chance.eps_gen[i])})
+    return out

@@ -1,18 +1,22 @@
 """The column case parser against the per-entry reference parser it
 replaced (case_parser_reference): the same Network arrays, bit for bit,
 and the same ChanceSpec for valid cases; the same exception class and
-message for malformed ones. Also Network.line_between against the loop
-it replaced, and the chance section's malformed shapes."""
+message for malformed ones. Also serialize_case against the per-entry
+writer it replaced, Network.line_between against the loop it replaced,
+and the chance section's malformed shapes."""
 import copy
+import importlib.util
 import json
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import case_parser_reference as reference
-from syncopf import Bus, Generator, Line, Network, ParseError, ValidationError
-from syncopf.case_io import parse_case_dict
+from syncopf import Bus, ChanceSpec, Generator, Line, Network, ParseError, ValidationError
+from syncopf.case_io import parse_case_dict, serialize_case
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -240,6 +244,22 @@ def test_malformed_chance_section_is_one_parse_error(chance, match):
         parse_case_dict(doc)
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"gen": 0, "eps_line": 0.01}, "key 'eps_line' does not apply to a generator override"),
+    ({"from": 1, "to": 4, "eps_gen": 0.01}, "key 'eps_gen' does not apply to a line override"),
+    ({"from": 1, "to": 4, "eps_lin": 0.01}, "key 'eps_lin' does not apply to a line override"),
+    ({"gen": 0, "from": 1, "to": 4, "eps_line": 0.01},
+     "key 'gen' does not apply to a line override"),
+    ({"gen": 0, "to": 4, "eps_gen": 0.01}, "key 'to' does not apply to a generator override"),
+])
+def test_override_key_that_does_not_apply_is_a_parse_error(override, message):
+    # each of these once parsed and changed no budget
+    doc = json.loads((ROOT / "cases/case9_wind.json").read_text())
+    doc["chance"]["overrides"] = [{"from": 4, "to": 5, "eps_line": 0.02}, override]
+    want = (ParseError, f"case: chance.overrides[1]: {message}")
+    assert outcome(parse_case_dict, doc) == outcome(reference.parse_case_dict, doc) == want
+
+
 def test_malformed_chance_section_is_one_line_cli_error(tmp_path, capsys):
     from syncopf.cli import main
 
@@ -250,6 +270,56 @@ def test_malformed_chance_section_is_one_line_cli_error(tmp_path, capsys):
     assert main(["solve", "dc", "--case", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: chance.overrides[0]: must be an object, not int\n"
+
+
+# --- serialize_case ------------------------------------------------------------
+
+def synthetic_grid1000() -> dict:
+    """The 1000-bus grid of the benchmark's ccopf-grid1000 workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclass
+    spec.loader.exec_module(workloads)
+    return workloads.synthetic_case(1000, 1500, 80, 50, 42, (0.02, 1e-4, 0.05))
+
+
+def case9_with_overrides() -> dict:
+    """case9 with line, sync and generator overrides, one line holding both
+    line budgets."""
+    doc = json.loads((ROOT / "cases/case9_wind.json").read_text())
+    doc["chance"]["overrides"] = [{"from": 5, "to": 4, "eps_line": 0.01, "eps_sync": 1e-4},
+                                  {"from": 7, "to": 8, "eps_sync": 2e-4},
+                                  {"gen": 2, "eps_gen": 0.02},
+                                  {"from": 9, "to": 4, "eps_line": 0.03}]
+    return doc
+
+
+SERIALIZED = {
+    "case9": lambda: json.loads((ROOT / "cases/case9_wind.json").read_text()),
+    "case9-overrides": case9_with_overrides,
+    "mesh100": lambda: json.loads((ROOT / "tests/data/mesh100.json").read_text()),
+    "alternation": lambda: json.loads((ROOT / "cases/alternation.json").read_text()),
+    "grid1000": synthetic_grid1000,
+}
+
+
+@pytest.mark.parametrize("name", SERIALIZED)
+def test_serialize_case_writes_what_the_entry_objects_wrote(name):
+    net, chance = parse_case_dict(SERIALIZED[name]())
+    got, want = serialize_case(net, chance), reference.serialize_case(net, chance)
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)  # also 1 against 1.0
+
+
+@pytest.mark.parametrize("name", SERIALIZED)
+def test_serialized_case_parses_back_bit_for_bit(name):
+    net, chance = parse_case_dict(SERIALIZED[name]())
+    net2, chance2 = parse_case_dict(json.loads(json.dumps(serialize_case(net, chance))))
+    assert_same_network(net2, net)
+    assert net2.bus_ids.tobytes() == net.bus_ids.tobytes()
+    for f in fields(ChanceSpec):
+        got, want = getattr(chance2, f.name), getattr(chance, f.name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), f.name
 
 
 # --- Network.line_between -----------------------------------------------------

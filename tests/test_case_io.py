@@ -341,6 +341,14 @@ def test_report_from_dict_missing_field():
         (("generators", 0, "bus"), 3.25),
         (("iterations", 1, "iteration"), 2.5),
         (("iterations", 0, "line"), 0.1),
+        (("iterations", 0, "kind"), None),  # str() read these two as "None" and "5"
+        (("iterations", 1, "kind"), 5),
+        (("iterations", 0, "kind"), "Thermal"),
+        (("iterations", 1, "kind"), ["sync"]),
+        (("variant",), None),
+        (("variant",), ["ccopf"]),
+        (("status",), 5),
+        (("status",), {"optimal": True}),
     ]
 ])
 def test_report_field_of_wrong_kind_is_parse_error(path, value):
