@@ -17,11 +17,11 @@ The native case format is a single JSON document:
 
 Demands, wind, and limits are per-unit. Parallel lines between one bus
 pair are merged by summing beta and pbar. A chance override sets the
-budgets of one line ("from"/"to") or one generator ("gen"); a key that
-does not apply to it is a ParseError. A MATPOWER import shim covers
-topology, limits, and polynomial costs; resistance and voltage data are
-dropped with a logged warning since the model is lossless and
-voltage-uniform.
+budgets of one line ("from"/"to") or one generator ("gen"). A key that
+does not apply there, or that the layout above does not show, is a
+ParseError. A MATPOWER import shim covers topology, limits, and
+polynomial costs; resistance and voltage data are dropped with a logged
+warning since the model is lossless and voltage-uniform.
 
 parse_case_dict reads the entries as columns through _CASE_KEYS, one array
 per field of Bus, Generator or Line, and hands them to Network as they are:
@@ -202,6 +202,23 @@ _CASE_KEYS = {Bus: ("buses", ("id", "d", "mu", "sigma")),
 _SCHEMA = {kind: tuple((f.name, key, f.type == "int", None if f.default is MISSING else f.default)
                        for f, key in zip(fields(kind), keys))
            for kind, (_, keys) in _CASE_KEYS.items()}
+# The keys a case document and its chance section may hold
+_DOC_KEYS = frozenset(["schema_version", "slack_bus", "chance", *(n for n, _ in _CASE_KEYS.values())])
+_CHANCE_KEYS = frozenset(["overrides", *(key for key, _ in _DEFAULTS.values())])
+
+
+def _check_keys(entries: list, known: frozenset, where) -> None:
+    """ParseError for the first key not in known over the entries that are objects,
+    in order (where(i) names entry i); other entries are left to the field readers."""
+    try:
+        if set().union(*entries) <= known:  # every key at once, in C
+            return
+    except TypeError:  # an entry that holds no keys
+        pass
+    for i, entry in enumerate(entries):
+        stray = [key for key in entry if key not in known] if isinstance(entry, dict) else ()
+        if stray:
+            raise ParseError(f"{where(i)}: unknown key {stray[0]!r}")
 
 
 def _entries(doc: dict, ctx: str, kind) -> dict:
@@ -216,6 +233,7 @@ def _entries(doc: dict, ctx: str, kind) -> dict:
         entries = list(doc[name])
     except TypeError as exc:
         raise ParseError(f"{ctx}: {name}[0]: {exc}") from exc
+    _check_keys(entries, frozenset(_CASE_KEYS[kind][1]), lambda i: f"{ctx}: {name}[{i}]")
     columns, bad, error = {}, len(entries), None
     for field_name, key, whole, default in _SCHEMA[kind]:
         column, field_error = _column(entries, key, whole, default)
@@ -266,6 +284,7 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     version = str(doc.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ParseError(f"{ctx}: unrecognized schema_version {version!r}")
+    _check_keys([doc], _DOC_KEYS, lambda i: ctx)
 
     buses = _entries(doc, ctx, Bus)
     gens = _entries(doc, ctx, Generator)
@@ -282,6 +301,7 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[Network, ChanceSpec]:
     chance_doc = doc.get("chance", {})
     if not isinstance(chance_doc, dict):
         raise ParseError(f"{ctx}: chance: must be an object, not {type(chance_doc).__name__}")
+    _check_keys([chance_doc], _CHANCE_KEYS, lambda i: f"{ctx}: chance")
     try:
         spec = ChanceSpec.uniform(net, **{name: _number(chance_doc, key, default)
                                           for name, (key, default) in _DEFAULTS.items()})

@@ -9,7 +9,10 @@ tree over adjacency lists. It returns a ReferenceNetwork, which holds the
 arrays under the Network's names, and the ChanceSpec; a malformed case
 raises what the package raised. A chance override with a key that does
 not apply to it (a line budget beside 'gen', say) raises ParseError, as
-the package does now; the per-entry parser ignored such a key.
+the package does now; the per-entry parser ignored such a key. So does a
+key that the document, its chance section or an entry may not hold (a
+misspelt "sgima", say), checked for the document, then for each list's
+entries before any of their fields is read, then for the chance section.
 
 serialize_case writes a Network and its ChanceSpec as the package wrote
 them entry object by entry object, with a loop over the lines and the
@@ -221,10 +224,30 @@ def _number(entry: dict, key: str, default: float | None = None) -> float:
         raise ValueError(f"field '{key}': {exc}") from None
 
 
+# the keys each list's entries may hold; any other key is a ParseError
+ENTRY_KEYS = {"buses": ("id", "d", "mu", "sigma"),
+              "generators": ("bus", "pmin", "pmax", "c1", "c2", "c3"),
+              "lines": ("from", "to", "beta", "pbar")}
+
+
+def _check_keys(obj: dict, known, where: str) -> None:
+    for key in obj:
+        if key not in known:
+            raise ParseError(f"{where}: unknown key {key!r}")
+
+
 def _entries(doc: dict, name: str, ctx: str, make) -> list:
     out = []
     try:
-        for entry in _require(doc, name, ctx):
+        entries = list(_require(doc, name, ctx))
+    except TypeError as exc:
+        raise ParseError(f"{ctx}: {name}[0]: {exc}") from exc
+    # every entry's keys are checked before any entry's fields are read
+    for i, entry in enumerate(entries):
+        if isinstance(entry, dict):
+            _check_keys(entry, ENTRY_KEYS[name], f"{ctx}: {name}[{i}]")
+    try:
+        for entry in entries:
             out.append(make(entry))
     except KeyError as exc:
         raise ParseError(f"{ctx}: {name}[{len(out)}]: missing required field {exc}") from exc
@@ -271,6 +294,7 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[ReferenceNetwork, Cha
     version = str(doc.get("schema_version", "1"))
     if version != "1":
         raise ParseError(f"{ctx}: unrecognized schema_version {version!r}")
+    _check_keys(doc, ("schema_version", "slack_bus", "buses", "generators", "lines", "chance"), ctx)
 
     buses = _entries(doc, "buses", ctx, _bus)
     gens = _entries(doc, "generators", ctx, _generator)
@@ -285,6 +309,8 @@ def parse_case_dict(doc: dict, ctx: str = "case") -> tuple[ReferenceNetwork, Cha
     net = ReferenceNetwork(buses, gens, lines, slack_bus=slack)
 
     chance_doc = doc.get("chance", {})
+    _check_keys(chance_doc, ("eps_line_default", "eps_sync_default", "eps_gen_default", "overrides"),
+                f"{ctx}: chance")
     try:
         spec = ChanceSpec.uniform(
             net,

@@ -154,6 +154,9 @@ def mutations(kind):
     for value in ([], None, "id", 3, [1, 2]):
         out.append((f"entry {value!r}", lambda entries, i, value=value:
                     entries.__setitem__(i, value)))
+    out.append(("unknown key", lambda entries, i: entries[i].__setitem__("sgima", 0.1)))
+    out.append(("unknown key and a bad field", lambda entries, i: entries[i].update(
+        {"extra": 1, next(iter(FIELDS[kind])): "x"})))
     if kind == "buses":
         out.append(("duplicate id", lambda entries, i: entries[i].__setitem__(
             "id", entries[(i + 1) % len(entries)]["id"])))
@@ -225,6 +228,25 @@ def test_first_bad_entry_across_fields_and_rules():
     assert "'pmin'" in assert_same_outcome(doc)[1]
 
 
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["buses"][4].update(sgima=doc["buses"][4].pop("sigma")),
+     "case: buses[4]: unknown key 'sgima'"),
+    (lambda doc: doc["chance"].update(eps_line_defualt=0.01),
+     "case: chance: unknown key 'eps_line_defualt'"),
+    (lambda doc: doc.update(slack=9), "case: unknown key 'slack'"),
+    (lambda doc: doc["generators"][2].update(cost=1.0), "case: generators[2]: unknown key 'cost'"),
+    # keys are checked before fields: the bad beta of line 0 is not the one reported
+    (lambda doc: doc["lines"][0].update(beta="x") or doc["lines"][8].update(r=0.01),
+     "case: lines[8]: unknown key 'r'"),
+], ids=["bus sigma misspelt", "chance default misspelt", "document", "generator", "line"])
+def test_unknown_key_is_a_parse_error(mutate, message):
+    # each of these once parsed: the misspelt sigma as no wind at bus 5, the
+    # misspelt default as every line budget left at 0.05
+    doc = json.loads((ROOT / "cases/case9_wind.json").read_text())
+    mutate(doc)
+    assert outcome(parse_case_dict, doc) == outcome(reference.parse_case_dict, doc) == (ParseError, message)
+
+
 # --- the chance section -----------------------------------------------------
 
 @pytest.mark.parametrize("chance, match", [
@@ -270,6 +292,23 @@ def test_malformed_chance_section_is_one_line_cli_error(tmp_path, capsys):
     assert main(["solve", "dc", "--case", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: chance.overrides[0]: must be an object, not int\n"
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda doc: doc["buses"][4].update(sgima=doc["buses"][4].pop("sigma")),
+     "buses[4]: unknown key 'sgima'"),
+    (lambda doc: doc["chance"].update(eps_line_defualt=0.01), "chance: unknown key 'eps_line_defualt'"),
+], ids=["bus", "chance"])
+def test_unknown_key_is_one_line_cli_error(tmp_path, capsys, mutate, message):
+    from syncopf.cli import main
+
+    doc = json.loads((ROOT / "cases/case9_wind.json").read_text())
+    mutate(doc)
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "ccopf", "--case", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {path}: {message}\n")
 
 
 # --- serialize_case ------------------------------------------------------------

@@ -14,6 +14,7 @@ from syncopf.case_io import write_report
 from syncopf.cli import EXIT_USAGE, build_parser, main
 from syncopf.network import Dispatch, injection_vector
 from test_case_io import read_flow_table
+from test_ld_risk import NanFactor
 
 DATA = Path(__file__).parent / "data"
 
@@ -318,12 +319,9 @@ def test_risk_nonlinear_variant(tmp_path, capsys):
 
 
 def test_risk_nonlinear_nan_instanton_exits_3(tmp_path, capsys, monkeypatch):
-    import scipy.optimize
+    import syncopf.ld_risk as ld_risk
 
-    def nan_minimize(fun, x0, **kwargs):
-        return scipy.optimize.OptimizeResult(x=np.full_like(x0, np.nan), message="forced NaN")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", nan_minimize)
+    monkeypatch.setattr(ld_risk, "splu", NanFactor)
     case = write_case(tmp_path, tree_doc())
     code, out = run(
         capsys,
@@ -413,6 +411,21 @@ def test_report_readers_and_csv_match_golden_bytes(argv, golden, capsys):
     code, out = run(capsys, argv)
     assert code == 0
     assert out == (DATA / golden).read_text()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_risk_nonlinear_golden_at_any_blas_thread_count(threads):
+    # the instanton's Newton loop calls no dense BLAS routine, so the
+    # OpenBLAS thread count cannot move a byte of its report
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "syncopf.cli", "risk", "--case", "cases/case9_wind.json",
+         "--dispatch", str(DATA / "ccopf_case9_wind.json"), "--line", "4,5", "--threshold", "0.5",
+         "--eps", "0.01", "--nonlinear"], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "risk_nonlinear_case9_wind.json").read_text()
 
 
 @pytest.mark.parametrize(
@@ -604,8 +617,8 @@ def test_shared_parser_answers_like_fresh_ones(capsys):
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only the nonlinear instanton minimizes; every other command would pay
-    # for loading scipy.optimize at start-up
+    # no command minimizes with scipy.optimize, and loading it would cost
+    # every command's start-up
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(

@@ -2,6 +2,7 @@
 solve, energy/omega consistency, scaling laws, the rarity condition, and
 the nonlinear (sine-pinned) variant against the linear one."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,14 @@ from syncopf import (
     e_dc_closed_form,
     ld_condition_check,
     nonlinear_instanton,
+    parse_case,
+    read_report,
 )
 import syncopf.ld_risk as ld_risk
 from syncopf.network import Dispatch
 from syncopf.qp import QuadraticProgram, solve_qp
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_bus_wind(sigma=0.1):
@@ -197,19 +202,73 @@ def test_nonlinear_threshold_domain():
 def test_nonlinear_enforces_residual(monkeypatch):
     net = stiff_triangle()
     disp = Dispatch(p=np.array([1.0]), alpha=np.array([1.0]))
-    monkeypatch.setattr(ld_risk, "MAX_ITER_SLSQP", 1)
-    with pytest.raises(NoConvergenceError):
+    monkeypatch.setattr(ld_risk, "MAX_NEWTON_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match="after 1 Newton steps"):
         nonlinear_instanton(net, disp, 0, 0.9)
+
+
+class NanFactor:
+    """A stand-in for splu whose solves are all NaN."""
+
+    def __init__(self, matrix):
+        pass
+
+    def solve(self, rhs):
+        return np.full_like(rhs, np.nan)
 
 
 def test_nonlinear_nan_optimum_is_not_converged(monkeypatch):
     # NaN compares false with any tolerance, so a test of residual > tol lets it through
-    import scipy.optimize
-
-    def nan_minimize(fun, x0, **kwargs):
-        return scipy.optimize.OptimizeResult(x=np.full_like(x0, np.nan), message="forced NaN")
-
-    monkeypatch.setattr(scipy.optimize, "minimize", nan_minimize)
+    monkeypatch.setattr(ld_risk, "splu", NanFactor)
     disp = Dispatch(p=np.array([1.0]), alpha=np.array([1.0]))
     with pytest.raises(NoConvergenceError, match="nan"):
         nonlinear_instanton(stiff_triangle(), disp, 0, 0.5)
+
+
+def case9_at_dispatch():
+    net, _ = parse_case(ROOT / "cases" / "case9_wind.json")
+    rep = read_report(ROOT / "tests" / "data" / "ccopf_case9_wind.json")
+    return net, Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha))
+
+
+# The nonlinear instanton energy of each case9 line at its CC-OPF dispatch, at
+# thresholds 0.3, 0.5, -0.5 and 0.9, as an SLSQP solve of the same problem gave
+# it where the point it returned was synchronous (every |gap| < pi/2). None
+# marks a run where that solve failed or returned a point beyond pi/2.
+CASE9_RHOS = (0.3, 0.5, -0.5, 0.9)
+CASE9_NONLINEAR_ENERGY = {
+    0: (803.2096734307415, None, None, None),
+    1: (183.88963543057153, 502.9346638450498, 532.1205755119868, None),
+    2: (140.37258227002545, 320.9845351432871, 149.05120363702085, 952.6203434446355),
+    3: (793.0705963724583, None, None, None),
+    4: (275.0021967603369, 963.05365036449, 1711.2999159791473, 4025.400058150846),
+    5: (577.2423379175339, 1554.9419630247255, 1416.8479871271825, None),
+    6: (692.1280223157255, 1718.2220110814364, 1174.0310093164696, None),
+    7: (129.89218526448786, 473.47404349336995, 997.1260455962706, None),
+    8: (None, None, None, None),
+}
+
+
+@pytest.mark.parametrize("line, rho, energy", [
+    (line, rho, energy) for line, energies in CASE9_NONLINEAR_ENERGY.items()
+    for rho, energy in zip(CASE9_RHOS, energies)])
+def test_nonlinear_case9_answers_are_synchronous(line, rho, energy):
+    net, disp = case9_at_dispatch()
+    try:
+        res = nonlinear_instanton(net, disp, line, rho)
+    except NoConvergenceError:
+        assert energy is None  # only a run with no synchronous answer on record may fail
+        return
+    gap = res.theta[net.from_index] - res.theta[net.to_index]
+    assert np.max(np.abs(gap)) < math.pi / 2
+    if energy is not None:
+        assert res.energy == pytest.approx(energy, rel=1e-9)
+
+
+@pytest.mark.parametrize("ends, rho", [((8, 9), 0.9), ((9, 4), 0.3)])
+def test_nonlinear_refuses_a_point_beyond_pi_over_2(ends, rho):
+    # an SLSQP solve returned these with line 5-6 at an angle gap of 2.56 and
+    # 1.75 rad (energies 734.8 and 955.5): no synchronous state
+    net, disp = case9_at_dispatch()
+    with pytest.raises(NoConvergenceError, match=r"synchronous.*\(5,6\)"):
+        nonlinear_instanton(net, disp, net.line_between(*ends), rho)
