@@ -71,11 +71,15 @@ def e_dc_closed_form(
     d = sens.gen[line] @ dispatch.alpha  # the line's own row only
     coeff = sens.wind[line] - d
     sig = sens.sigma
-    var_form = float(sens.spread_at(d, line)) ** 2
-    if var_form <= 1e-300:
+    spread = float(sens.spread_at(d, line))
+    # a spread within rounding of the sensitivities' scale is no exposure
+    scale = max(np.max(np.abs(sens.wind), initial=0.0),
+                np.abs(sens.gen[line]) @ np.abs(dispatch.alpha))
+    if spread <= 1e-12 * scale * math.sqrt(sig @ sig):
         raise ZeroVarianceError(
             f"line {line}: angle gap has no wind variance, instanton undefined"
         )
+    var_form = spread**2
     phi = (rho_threshold - mean_gap) / var_form
     omega = sig**2 * coeff * phi
     energy = (mean_gap - rho_threshold) ** 2 / (2.0 * var_form)

@@ -39,23 +39,28 @@ sample. Generator limits are tallied on the chunk's sorted total
 deviations, by bisection per generator (see _generator_tally).
 
 The nonlinear check re-solves the sine power flow of every sample
-(thermal cap off) with solve_pf_batch, in sub-batches of
-S = _BATCH_TARGET // (lines * chords) samples. A sub-batch stacks S
-chord Hessians of chords^2 doubles each and S flow vectors of lines
-doubles each; there are fewer chords than lines, so both stacks stay
-under _BATCH_TARGET doubles (2 MB) unless one sample alone needs more.
-The formula is stricter than that: a 1000-bus grid (1500 lines, 501
-chords) solves one sample at a time. A sub-batch also holds at most
-_BATCH_SAMPLES samples (10 on case9 and on a 100-bus mesh). That cap
-keeps a 1000-sample case9 validation at about 40 ms rather than 10 ms:
-perfbench's worker corrects each command's time by host-probe samples
-taken every 25 ms and fails on a command that gets none. Each sample's
-solve depends on that sample alone, so the sub-batch size does not
-change the report. Boundary-pinned solutions count as synchrony loss
-attributed to the pinned lines, and solver failures (unbalanced
-injections included) are counted as sync loss but also reported
-separately. On trees the linear and nonlinear flows coincide, so
-thermal counts match sample for sample.
+(thermal cap off) with solve_pf_batch. A run first solves the no-wind
+injections once, and every sample starts from that solution's chord
+flows and takes chord steps with the inverse of its chord Hessian (see
+the powerflow module), one c x c array per run (2 MB at 501 chords);
+only a sample whose chord step does not contract falls back to Newton
+steps on its own Hessian. When that nominal solve fails, is pinned at a
+cap or its injections do not balance, the samples start from zero chord
+flows and take Newton steps. The samples are solved in sub-batches of
+S = _BATCH_TARGET // (lines * chords) samples, so that a sub-batch's
+flow vectors (lines doubles each) and any fallback Hessians (chords^2
+doubles each) stay under _BATCH_TARGET doubles (2 MB) unless one sample
+alone needs more: a 1000-bus grid (1500 lines, 501 chords) solves one
+sample at a time. A sub-batch also holds at most _BATCH_SAMPLES samples
+(10 on case9 and on a 100-bus mesh). That cap keeps a 1000-sample case9
+validation at about 30 ms rather than 5 ms: perfbench's worker corrects
+each command's time by host-probe samples taken every 25 ms and fails
+on a command that gets none. Each sample's solve depends on that
+sample alone, so the sub-batch size does not change the report.
+Boundary-pinned solutions count as synchrony loss attributed to the
+pinned lines, and solver failures (unbalanced injections included) are
+counted as sync loss but also reported separately. On trees the linear
+and nonlinear flows coincide, so thermal counts match sample for sample.
 """
 from __future__ import annotations
 
@@ -70,9 +75,9 @@ import numpy as np
 from scipy.special import ndtri
 
 from .case_io import ChanceSpec
-from .errors import ValidationError
+from .errors import NoConvergenceError, ValidationError
 from .network import Dispatch, Network, injection_vector
-from .powerflow import MARGIN, solve_pf_batch
+from .powerflow import MARGIN, psi_second, solve_pf, solve_pf_batch
 
 logger = logging.getLogger(__name__)
 
@@ -170,6 +175,18 @@ def run_mc(
         basis = net.spanning_tree
         basis.tree_inverse, basis.hessian_map  # built here, before any thread reads them
         batch = max(1, min(_BATCH_SAMPLES, _BATCH_TARGET // max(m * basis.chords.size, 1)))
+        # every sample starts at the no-wind flow and steps with the inverse
+        # of its chord Hessian, unless that flow is pinned or not found
+        start = nominal = None
+        q0 = injection_vector(net, dispatch)
+        if basis.chords.size and abs(q0.sum()) <= 1e-9:
+            try:
+                nominal = solve_pf(net, q0, enforce_thermal_cap=False)
+            except NoConvergenceError:
+                pass
+        if nominal is not None and nominal.feasible:
+            hess0 = basis.chord_hessian(psi_second(nominal.rho)[None] / net.beta)[0]
+            start = ((net.beta * nominal.rho)[basis.chords], np.linalg.inv(hess0))
 
     chunk = max(1, min(n_samples, _CHUNK_TARGET // max(m, 1)))
     parts = min(_WORKERS, -(-n_samples // chunk))
@@ -208,7 +225,8 @@ def run_mc(
                     w_full[:, wind] = w[b:b + batch]
                     q = injection_vector(net, dispatch, wind=w_full)
                     unbalanced = np.abs(q.sum(axis=1)) > 1e-9
-                    res = solve_pf_batch(net, q[~unbalanced], enforce_thermal_cap=False)
+                    res = solve_pf_batch(net, q[~unbalanced], enforce_thermal_cap=False,
+                                         start=start)
                     hit = res.boundary_hit & ~res.failed
                     lost = np.count_nonzero(unbalanced)
                     events += (lost + np.count_nonzero(res.failed | hit),

@@ -29,13 +29,21 @@ Network (Network.spanning_tree) and every solve reuses them. The angles
 follow from arcsin(rho_k) = theta_i - theta_j on the tree arcs, one
 transposed solve T^T theta = arcsin(rho[tree]) with the same factors.
 The particular flows of a stack come from T^-1 as stacked products
-(SpanningTree.particular_flow), each row on its own. Each Newton step
-stacks one chord Hessian K^T diag(w) K per sample, K the m x c chord
-map. K is dense but mostly zero on a mesh (5.9% on a 100-bus one), so
-the Hessians come from the tree's sparse hessian_map
-(SpanningTree.chord_hessian): sum_k nnz(K_k)^2 multiply-adds per sample
-instead of m c^2. The stacked products K y and K^T g and the stacked
-c x c solves stay dense.
+(SpanningTree.particular_flow), each row on its own. A Newton step on its
+own solves with the sample's chord Hessian K^T diag(w) K, K the m x c
+chord map; K is dense but mostly zero on a mesh (5.9% on a 100-bus one),
+so the Hessians come stacked from the tree's sparse hessian_map
+(SpanningTree.chord_hessian) and are solved densely. Monte Carlo passes
+a start instead: the no-wind solution's chord flows y0 and the inverse
+of its chord Hessian H0. Every sample then starts at y0 and takes chord
+(simplified Newton) steps -H0^-1 g, one c x c product per sample, whose
+rate is |I - H0^-1 H| (Kelley, Iterative Methods for Linear and
+Nonlinear Equations, SIAM 1995, sec. 5.4). A sample's Hessian lies near
+H0 (within about 1% on a 1000-bus grid), so a chord step contracts the
+gradient nearly as a Newton step would. A sample whose chord
+step does not halve max|gradient| (CHORD_RATE) takes that step as a
+Newton step on its own Hessian instead, so a run forms and solves only
+the fallbacks' Hessians.
 Newton takes the full step whenever it shrinks max|gradient| by 0.9,
 which always holds near the optimum, where an objective-decrease test
 could no longer resolve progress; otherwise it backtracks (Armijo) on
@@ -59,6 +67,7 @@ MARGIN = 1e-6  # offset turning each strict |rho| cap into a closed one
 TOL_GRAD = 1e-10  # solve_pf's Newton stops at this max|gradient| over the chord flows
 TOL_ENERGY = 1e-9  # energy_function_solve stops at this max|residual| of the sine balance
 MAX_ITER_ENERGY = 100  # its Newton step cap
+CHORD_RATE = 0.5  # a chord step must shrink max|gradient| by this, else the sample's Hessian steps
 
 
 def psi(x):
@@ -142,14 +151,17 @@ class FlowBatch:
 
     rho are the per-arc sines clipped to the caps; boundary_hit marks the
     samples pinned within 10*MARGIN of a cap; iterations counts the Newton
-    steps taken plus one (0 on a tree); failed marks the samples whose
-    gradient is still above TOL_GRAD after max_iter steps, and residual holds
-    each sample's final max|gradient| over the chord flows.
+    steps taken plus one (0 on a tree); own_hessian_steps counts the steps
+    solved with the sample's own chord Hessian (every step without a start,
+    only the fallbacks with one); failed marks the samples whose gradient is
+    still above TOL_GRAD after max_iter steps, and residual holds each
+    sample's final max|gradient| over the chord flows.
     """
 
     rho: np.ndarray
     boundary_hit: np.ndarray
     iterations: np.ndarray
+    own_hessian_steps: np.ndarray
     failed: np.ndarray
     residual: np.ndarray
 
@@ -159,6 +171,7 @@ def solve_pf_batch(
     injections: np.ndarray,
     enforce_thermal_cap: bool = True,
     max_iter: int = 200,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FlowBatch:
     """Solve the convex lossless power flow for each row of an (S, n) stack
     of balanced injection vectors.
@@ -166,11 +179,18 @@ def solve_pf_batch(
     The samples run one chord-flow Newton together, each with its own
     step rule (see the module docstring) and its own stopping test. Every
     product is stacked per sample, so each row's result depends on that
-    row alone and not on the rows solved with it. The working set is the
-    S * c^2 doubles of the stacked chord Hessians (c chords) and a few
-    S * n_line arrays of flows and their psi terms. enforce_thermal_cap
-    and max_iter as in solve_pf; a sample that misses TOL_GRAD within
-    max_iter steps is marked failed instead of raising.
+    row alone and not on the rows solved with it. The working set is a
+    few S * n_line arrays of flows and their psi terms, plus the S * c^2
+    doubles of the stacked chord Hessians (c chords) of the samples that
+    take a step on their own Hessian. enforce_thermal_cap and max_iter as
+    in solve_pf; a sample that misses TOL_GRAD within max_iter steps is
+    marked failed instead of raising.
+
+    start, a pair (y0, H0inv) of chord flows and the inverse of a chord
+    Hessian near every sample's (say the no-wind solution's), makes every
+    sample start at y0 and take chord steps -H0inv g; a sample whose step
+    does not shrink max|gradient| by CHORD_RATE takes that step with its
+    own Hessian instead (see the module docstring).
     """
     q = np.asarray(injections, dtype=float)
     if q.ndim != 2 or q.shape[1] != net.n_bus:
@@ -204,14 +224,18 @@ def solve_pf_batch(
 
     n_samples = q.shape[0]
     y = np.zeros((n_samples, basis.chords.size))
+    if start is not None:
+        y[:] = start[0]
     rho, val, g, h = terms(f0, y)
+    grads = gradient(g)  # each sample's gradient at its iterate, carried from step to step
     iterations = np.zeros(n_samples, dtype=int)
+    own_hessian_steps = np.zeros(n_samples, dtype=int)
     residual = np.zeros(n_samples)
     run = np.arange(n_samples if basis.chords.size else 0)  # samples still iterating
     for it in range(1, max_iter + 1):
         if not run.size:
             break
-        grad = gradient(g[run])
+        grad = grads[run]
         # method forms: numpy's function wrappers cost microseconds a step,
         # as much as a whole step's arithmetic on a one-chord grid
         gnorm = np.abs(grad).max(axis=1)
@@ -222,15 +246,28 @@ def solve_pf_batch(
         if not run.size:
             break
         ys, f0s = y[run], f0[run]
-        hess = basis.chord_hessian(h[run] / beta)
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        del hess  # so that two Hessian stacks are never alive at once
+        if start is None:
+            step, own = np.empty_like(grad), np.arange(run.size)
+        else:
+            # the chord step, one stacked product per sample: the 2-D product
+            # g @ H0inv rounds a row by the stack it is in, so a sample's
+            # result would depend on its sub-batch
+            step = -(start[1] @ grad[:, :, None])[:, :, 0]
+            trial = terms(f0s, ys + step)
+            tgrad = gradient(trial[2])
+            own = (np.abs(tgrad).max(axis=1) > CHORD_RATE * gnorm).nonzero()[0]
+        if own.size:
+            hess = basis.chord_hessian(h[run[own]] / beta)
+            step[own] = -np.linalg.solve(hess, grad[own, :, None])[:, :, 0]
+            del hess  # so that two Hessian stacks are never alive at once
+            own_hessian_steps[run[own]] += 1
+            trial = terms(f0s, ys + step)
+            tgrad = gradient(trial[2])
         # full Newton step when it contracts the gradient (always true
         # near the optimum, where the objective's decrease falls below
         # rounding); otherwise Armijo backtracking on the extended
         # objective, whose decrease is resolvable far from it
-        trial = terms(f0s, ys + step)
-        slow = (np.abs(gradient(trial[2])).max(axis=1) > 0.9 * gnorm).nonzero()[0]
+        slow = (np.abs(tgrad).max(axis=1) > 0.9 * gnorm).nonzero()[0]
         if slow.size:
             val0 = np.sum(beta * val[run[slow]], axis=1)
             slope = np.sum(grad[slow] * step[slow], axis=1)
@@ -248,18 +285,21 @@ def solve_pf_batch(
                 for arr, new in zip(trial, terms(f0s[rows], ys[rows] + t[back, None] * step[rows])):
                     arr[rows] = new
             step[slow] *= t[:, None]
+            tgrad[slow] = gradient(trial[2][slow])
         y[run] = ys + step
-        rho[run], val[run], g[run], h[run] = trial
+        rho[run], val[run], _, h[run] = trial
+        grads[run] = tgrad
     failed = np.zeros(n_samples, dtype=bool)
     if run.size:
         failed[run] = True
         iterations[run] = max_iter
-        residual[run] = np.max(np.abs(gradient(g[run])), axis=1)
+        residual[run] = np.max(np.abs(grads[run]), axis=1)
 
     return FlowBatch(
         rho=np.clip(rho, -cap, cap),
         boundary_hit=(np.abs(rho) >= cap_full - 10.0 * MARGIN).any(axis=1),
         iterations=iterations,
+        own_hessian_steps=own_hessian_steps,
         failed=failed,
         residual=residual,
     )

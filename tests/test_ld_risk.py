@@ -22,6 +22,7 @@ from syncopf import (
     read_report,
 )
 import syncopf.ld_risk as ld_risk
+from syncopf.det_opf import solve_dc_opf
 from syncopf.network import Dispatch
 from syncopf.qp import QuadraticProgram, solve_qp
 
@@ -143,6 +144,18 @@ def test_zero_variance_raises():
     disp = Dispatch(p=np.array([1.0]), alpha=np.array([1.0]))
     with pytest.raises(ZeroVarianceError):
         e_dc_closed_form(net, disp, 0, 0.5)
+
+
+def test_rounding_level_spread_raises():
+    # at case9's DC-OPF dispatch (every alpha 0) line 3 (3-6) carries no wind,
+    # yet its sensitivities leave a spread of 2.8e-18, which once gave energy 1.7e34
+    net, _ = parse_case(ROOT / "cases" / "case9_wind.json")
+    disp = solve_dc_opf(net).dispatch
+    assert np.all(disp.alpha == 0.0)
+    assert 0.0 < net.gap_sensitivity.spread(disp)[3] < 1e-15
+    with pytest.raises(ZeroVarianceError):
+        e_dc_closed_form(net, disp, 3, 0.6)
+    assert e_dc_closed_form(net, disp, 1, 0.6).energy == pytest.approx(426.1, rel=1e-4)
 
 
 def test_line_index_domain():

@@ -14,7 +14,7 @@ from syncopf import Bus, ChanceSpec, Generator, Line, Network, certify, parse_ca
 from syncopf.case_io import parse_case_dict
 from syncopf.cc_opf import analytic_violation_prob
 from syncopf.mc import NONLINEAR_DEFAULT_MAX, Z99, ci_halfwidth
-from syncopf.network import Dispatch
+from syncopf.network import Dispatch, SpanningTree
 from syncopf.powerflow import solve_pf_batch
 
 import syncopf.mc as mc_mod
@@ -124,6 +124,81 @@ def test_sample_outcomes_do_not_depend_on_sub_batches(monkeypatch, case, golden)
         for (*got, got_rho), (*want, want_rho) in zip(other, whole):
             assert got == want
             assert np.array_equal(got_rho, want_rho)
+
+
+def _batches(monkeypatch, net, disp, n_samples, seed):
+    """The report of a nonlinear run_mc and, for each of its solve_pf_batch
+    calls, (args, kwargs, result, chord-Hessian rows, np.linalg.solve calls)."""
+    calls, hessian_rows, solves = [], [], []
+    chord_hessian, linalg_solve = SpanningTree.chord_hessian, np.linalg.solve
+    monkeypatch.setattr(SpanningTree, "chord_hessian",
+                        lambda self, w: hessian_rows.append(w.shape[0]) or chord_hessian(self, w))
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or linalg_solve(*a))
+
+    def spy(*args, **kwargs):
+        rows, calls_before = len(hessian_rows), len(solves)
+        res = solve_pf_batch(*args, **kwargs)
+        calls.append((args, kwargs, res, sum(hessian_rows[rows:]), len(solves) - calls_before))
+        return res
+
+    monkeypatch.setattr(mc_mod, "solve_pf_batch", spy)
+    report = run_mc(net, disp, n_samples, seed=seed, nonlinear=True)
+    return report, calls
+
+
+@pytest.mark.parametrize("case, golden", [
+    ("cases/case9_wind.json", "ccopf_case9_wind.json"),
+    (str(DATA / "mesh100.json"), "ccopf_mesh100.json"),
+], ids=["case9", "mesh100"])
+def test_golden_samples_take_only_chord_steps(monkeypatch, case, golden):
+    # every sample starts at the no-wind flow, and each step's solve is one
+    # product with that flow's inverse chord Hessian: no sample forms its own
+    net, _ = parse_case(case)
+    rep = read_report(DATA / golden)
+    _, calls = _batches(monkeypatch, net, Dispatch(p=np.array(rep.p), alpha=np.array(rep.alpha)),
+                        1000, 2026)
+    assert sum(res.rho.shape[0] for _, _, res, _, _ in calls) == 1000
+    for _, kwargs, res, hessian_rows, solves in calls:
+        assert kwargs["start"] is not None
+        assert not res.own_hessian_steps.any()
+        assert hessian_rows == solves == 0
+
+
+def test_samples_that_chord_steps_miss_fall_back_to_their_own_hessian(monkeypatch):
+    # wind at six times its spread pins some samples at |rho| -> 1, where the
+    # chord Hessian is far from the sample's; those take Newton steps and end
+    # where the solve without a start ends
+    net = mesh(wind=6.0)
+    disp = Dispatch(p=np.array([0.7, 0.5]), alpha=np.array([0.5, 0.5]))
+    report, calls = _batches(monkeypatch, net, disp, 300, 1)
+    assert report.solve_failures == 0 and report.nl_sync_loss_freq > 0
+    fallbacks = 0
+    for args, kwargs, res, hessian_rows, _ in calls:
+        assert hessian_rows == res.own_hessian_steps.sum()
+        fallbacks += hessian_rows
+        plain = solve_pf_batch(*args, enforce_thermal_cap=False)
+        assert plain.own_hessian_steps.sum() == plain.iterations.sum() - plain.rho.shape[0]
+        assert np.array_equal(res.boundary_hit, plain.boundary_hit)
+        assert np.array_equal(res.failed, plain.failed)
+        assert np.max(np.abs(res.rho - plain.rho)) <= 1e-9
+    assert fallbacks > 0
+
+
+def test_pinned_nominal_flow_gives_no_start(monkeypatch):
+    # a triangle of weak lines cannot carry its no-wind load synchronously, so
+    # the samples start from zero chord flows with Newton steps, as with no start
+    net = Network(
+        buses=[Bus(1), Bus(2, demand=1.0, wind_mean=0.1, wind_sigma=0.05), Bus(3)],
+        generators=[Generator(bus=1, pmin=0.0, pmax=2.0, c1=1.0)],
+        lines=[Line(1, 2, beta=0.3, pbar=1.0), Line(2, 3, beta=0.3, pbar=1.0),
+               Line(1, 3, beta=0.3, pbar=1.0)],
+    )
+    report, calls = _batches(monkeypatch, net, Dispatch(p=np.array([0.9]), alpha=np.array([1.0])),
+                             50, 0)
+    assert report.nl_sync_loss_freq == 1.0 and report.solve_failures == 0
+    for _, kwargs, res, hessian_rows, _ in calls:
+        assert kwargs["start"] is None
+        assert hessian_rows == res.own_hessian_steps.sum() > 0
 
 
 def test_seed_changes_stream():
