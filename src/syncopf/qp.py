@@ -24,18 +24,19 @@ of R and returns it to triangular form with Givens rotations on
 adjacent rows, applied to the matching column pairs of J as well.
 Neither update forms N, Q^{-1}N or N Q^{-1} N'.
 
-An Optimal solve ends with a finish: a polish, then a measure.  The
-polish solves the KKT system of the active rows directly, with a step
-of iterative refinement.  The iterates accumulate roundoff over the
-adds and drops, and an active bound can end a few ulps outside its
-limit: without the polish, case9's DC-OPF leaves a generator one ulp
-above pmax, and its reported prob_bounds reads 1 instead of 0.  The
-KKT residual (_kkt_residual) reuses the polish's system, which holds
-every row with a dual, and the infeasibility the polish found, so it
-costs a few products on that small system.  A residual above
-100 * TOL_KKT is logged as a warning and the status stays Optimal:
-the status already says that every row holds to TOL_FEAS, and no
-caller acts on the residual.
+An Optimal solve ends with a finish, a polish and then a measure,
+unless the caller asks for the bare iterate (finish=False), whose
+kkt_residual is NaN.  The polish solves the KKT system of the active
+rows directly, with a step of iterative refinement.  The iterates
+accumulate roundoff over the adds and drops, and an active bound can
+end a few ulps outside its limit: without the polish, case9's DC-OPF
+leaves a generator one ulp above pmax, and its reported prob_bounds
+reads 1 instead of 0.  The KKT residual (_kkt_residual) reuses the
+polish's system, which holds every row with a dual, and the
+infeasibility the polish found, so it costs a few products on that
+small system.  A residual above 100 * TOL_KKT is logged as a warning
+and the status stays Optimal: the status already says that every row
+holds to TOL_FEAS, and no caller acts on the residual.
 
 A QP grows by appending inequality rows (QuadraticProgram.add_rows),
 and a solve after rows were appended resumes from where the QP's last
@@ -46,8 +47,9 @@ feasible: x still minimizes the objective on the active rows and the
 multipliers stay nonnegative, so the most-violated-row loop just
 continues, and at first only the new rows can be violated beyond
 TOL_FEAS.  A cold solve is the same loop started from an empty working
-set; it is taken by a QP's first solve, after a solve that ended other
-than Optimal, and when no row was appended since the last solve.
+set; it is taken by a QP's first solve and after a solve that ended
+other than Optimal.  With no row appended since, a solve resumes too,
+takes no step and only finishes: a finish leaves the state as it was.
 
 Sources: D. Goldfarb and A. Idnani, "A numerically stable dual method
 for solving strictly convex quadratic programs", Math. Programming 27
@@ -400,19 +402,20 @@ class _WorkingSet:
         del self.lam[idx]
 
 
-def solve_qp(qp: QuadraticProgram) -> QpSolution:
+def solve_qp(qp: QuadraticProgram, finish: bool = True) -> QpSolution:
     """Solve a convex QP and measure the result against its KKT system.
-    After add_rows on an Optimal QP, the solve resumes (module docstring).
+    After an Optimal solve, the next one resumes (module docstring).
 
     Status Optimal means no inequality row is violated by more than
     TOL_FEAS at the end; kkt_residual then holds the max-norm KKT
     residual (_kkt_residual), and one above 100 * TOL_KKT is logged as a
-    warning. Deterministic for identical input: the same QP built, grown
-    and solved in the same order.
+    warning, or NaN with finish=False, which returns x unpolished.
+    Deterministic for identical input: the same QP built, grown and
+    solved in the same order.
     """
     rows = qp._rows
     ws, rows.end = rows.end, None
-    if ws is not None and ws.n_in < rows.n_in:
+    if ws is not None:
         ws.resume(rows)
     else:
         ws = _WorkingSet.empty(qp, rows)
@@ -424,13 +427,13 @@ def solve_qp(qp: QuadraticProgram) -> QpSolution:
     x, worst, system = ws.x, None, None
     if status == OPTIMAL:
         rows.end = ws
-        if ws.active:
+        if finish and ws.active:
             system = _kkt_system(qp, rows, sorted(ws.active))
             x, worst = _polish(qp, rows, system, x, duals)
 
     sol = _package(qp, rows, x, duals, status, ws.iters)
     if status == OPTIMAL:
-        sol.kkt_residual = _kkt_residual(qp, sol, worst, system)
+        sol.kkt_residual = _kkt_residual(qp, sol, worst, system) if finish else math.nan
         if sol.kkt_residual > 100 * TOL_KKT:
             logger.warning("KKT residual %.3e above tolerance", sol.kkt_residual)
     return sol

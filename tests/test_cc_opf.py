@@ -12,8 +12,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
+import cc_opf_reference
 import syncopf.cc_opf as cc_mod
 import syncopf.det_opf as det_opf
+import syncopf.qp as qp_mod
 from syncopf import (
     Bus,
     ChanceSpec,
@@ -43,6 +45,7 @@ from syncopf.cc_opf import (
 from syncopf.case_io import parse_case_dict
 from syncopf.network import Dispatch
 from syncopf.qp import QuadraticProgram, solve_qp
+from test_case_columns import synthetic_grid1000
 
 
 def two_bus_wind(sigma=0.1, pbar=1.6, mu=0.2, d=1.0):
@@ -465,24 +468,48 @@ def _mesh100_tight_caps():
     return parse_case_dict(doc)
 
 
-@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
-@pytest.mark.parametrize("load", [
+CUT_LOOP_CASES = pytest.mark.parametrize("load", [
     lambda: parse_case("cases/case9_wind.json"),
     lambda: parse_case("cases/alternation.json"),
     _mesh100_tight_caps,
 ], ids=["case9", "alternation", "mesh100"])
-def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
-    # the loop grows one QP, and every solve resumes from the previous cut's
-    # optimum; a cold solve of a fresh copy of the rows gives the same bits
-    net, chance = load()
-    seen = []
 
-    def spy(qp):
+
+def _counted(monkeypatch, seen):
+    # wrap the loop's solve_qp: seen gets (finish, iterations) per call
+    def counted(qp, finish=True):
+        sol = solve_qp(qp, finish=finish)
+        seen.append((finish, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(cc_mod, "solve_qp", counted)
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@CUT_LOOP_CASES
+def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
+    # the loop grows one QP, and every solve resumes from the previous
+    # cut's iterate; finished at every cut iteration, that working set
+    # gives the bits of a cold solve of a fresh copy of the rows, and the
+    # finish leaves it as it was, so the loop goes on as it would without
+    net, chance = load()
+    plain = solve_cc_opf(net, chance, add_all_violated=add_all)
+    seen, finished = [], []
+
+    def spy(qp, finish=True):
         resumed = qp._rows.end is not None
-        sol = solve_qp(qp)
+        sol = solve_qp(qp, finish=finish)
+        if finish:  # the loop's own finish, of the working set finished below
+            assert sol.iterations == 0
+            assert sol.x.tobytes() == finished[-1].x.tobytes()
+            return sol
+        assert np.isnan(sol.kkt_residual)
+        finished.append(solve_qp(qp))
         cold = solve_qp(dataclasses.replace(qp))  # a new QP with copies of every block
         for name in ("x", "duals_eq", "duals_in", "duals_lo", "duals_hi"):
-            assert np.array_equal(getattr(sol, name), getattr(cold, name)), (len(seen), name)
+            got, want = getattr(finished[-1], name), getattr(cold, name)
+            assert got.tobytes() == want.tobytes(), (len(seen), name)
+        assert finished[-1].iterations == 0 and finished[-1].kkt_residual == cold.kkt_residual
         seen.append((resumed, qp.A_in.shape[0]))
         return sol
 
@@ -491,28 +518,93 @@ def test_warm_cut_iterations_equal_cold_solves(load, add_all, monkeypatch):
     assert len(seen) == res.iterations > 1
     assert [w for w, _ in seen] == [False] + [True] * (res.iterations - 1)
     assert all(a < b for (_, a), (_, b) in zip(seen, seen[1:]))
+    assert res.iteration_log == plain.iteration_log
+    assert res.dispatch.p.tobytes() == plain.dispatch.p.tobytes()
+    assert res.dispatch.alpha.tobytes() == plain.dispatch.alpha.tobytes()
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@CUT_LOOP_CASES
+def test_cut_loop_matches_loop_finishing_every_qp(load, add_all, monkeypatch):
+    # against the loop that finished every QP and cut at the finished point
+    # (tests/cc_opf_reference.py): the same cuts, the same binding lines and
+    # the dispatch to 1e-11, from one finish; cut points move by ulps, and
+    # over the 22 cuts of tight-cap mesh100 an alpha moves by 1.1e-12
+    net, chance = load()
+    log, iterations, dispatch, viol = cc_opf_reference.cut_loop(net, chance, add_all)
+    seen = []
+    _counted(monkeypatch, seen)
+    sol = solve_cc_opf(net, chance, add_all_violated=add_all)
+    assert [(r["iteration"], r["line"], r["kind"]) for r in sol.iteration_log] == log
+    assert sol.iterations == iterations and sum(f for f, _ in seen) == 1
+    assert np.array_equal(sol.binding_thermal, viol[0::2] >= -1e-6)
+    assert np.array_equal(sol.binding_sync, viol[1::2] >= -1e-6)
+    assert np.allclose(sol.dispatch.p, dispatch.p, rtol=0, atol=1e-11)
+    assert np.allclose(sol.dispatch.alpha, dispatch.alpha, rtol=0, atol=1e-11)
+
+
+def test_finished_point_past_a_row_is_cut_again(monkeypatch):
+    # a finish that pushes case9's binding line past its thermal row: the
+    # loop cuts that line at the finished point and goes on, the next QP
+    # resumes from the working set the finish left as it was, meets tol_cut
+    # after the one step that adds the new tangent, and its finish ends the
+    # solve, with every line within tol_cut
+    net, chance = parse_case("cases/case9_wind.json")
+    ref = solve_cc_opf(net, chance)
+    line = int(np.flatnonzero(ref.binding_thermal)[0])
+    row = ref.table.gen[line] * np.sign(ref.table.mean(ref.dispatch)[line])
+    push = np.zeros(2 * net.n_gen)
+    push[[row.argmax(), row.argmin()]] = 1e-4, -1e-4  # sum(p) stays
+    polish, pushed = qp_mod._polish, []
+
+    def pushed_polish(qp, rows, system, x, duals):
+        x_new, worst = polish(qp, rows, system, x, duals)
+        pushed.append(len(pushed) == 0)
+        return (x_new + push if pushed[-1] else x_new), worst
+
+    monkeypatch.setattr(qp_mod, "_polish", pushed_polish)
+    seen = []
+    _counted(monkeypatch, seen)
+    sol = solve_cc_opf(net, chance)
+    assert pushed == [True, False] and [f for f, _ in seen].count(True) == 2
+    assert sol.status == "optimal" and sol.iterations == ref.iterations + 1
+    assert sol.iteration_log[:-1] == ref.iteration_log
+    extra = sol.iteration_log[-1]
+    assert (extra["iteration"], extra["line"], extra["kind"]) == (ref.iterations, line, "thermal")
+    assert extra["violation"] > 1e-7
+    assert seen[-2:] == [(False, 1), (True, 0)]
+    assert len(sol.cuts) == len(ref.cuts) + 1
+    assert 0.0 <= sol.objective - ref.objective <= 1e-6  # one more row: 3.2e-9 more
+    assert sol.violations.max() <= 1e-7
 
 
 def test_case9_budget_sweep_counts(monkeypatch):
     # the 10 x 10 budget sweep of the nlmc-case9 benchmark workload
     # (perfbench/workloads.py): its cut iterations, cuts, QP solves and
-    # active-set steps, which the benchmark's trace reports
+    # active-set steps, which the benchmark's trace reports, and one
+    # finish per solve, which takes no step
     net, chance = parse_case("cases/case9_wind.json")
-    qp_calls, steps = [], []
-
-    def counted(qp):
-        sol = solve_qp(qp)
-        qp_calls.append(1)
-        steps.append(sol.iterations)
-        return sol
-
-    monkeypatch.setattr(cc_mod, "solve_qp", counted)
+    seen = []
+    _counted(monkeypatch, seen)
     iterations = cuts = 0
     for eps_line in np.geomspace(0.005, 0.05, 10):
         for eps_sync in np.geomspace(5e-6, 5e-4, 10):
             sol = solve_cc_opf(net, chance.replace_defaults(float(eps_line), float(eps_sync), None))
             iterations, cuts = iterations + sol.iterations, cuts + len(sol.cuts)
-    assert (iterations, cuts, len(qp_calls), sum(steps)) == (810, 810, 810, 1950)
+    unfinished = [steps for finish, steps in seen if not finish]
+    assert (iterations, cuts, len(unfinished), sum(unfinished)) == (810, 810, 810, 1950)
+    assert [steps for finish, steps in seen if finish] == [0] * 100
+
+
+def test_grid1000_counts(monkeypatch):
+    # the one-cut solve of the ccopf-grid1000 benchmark workload: cut
+    # iterations, cuts and active-set steps, and one finish
+    net, chance = parse_case_dict(synthetic_grid1000())
+    seen = []
+    _counted(monkeypatch, seen)
+    sol = solve_cc_opf(net, chance)
+    assert (sol.iterations, len(sol.cuts), sum(steps for _, steps in seen)) == (14, 58, 73)
+    assert [f for f, _ in seen] == [False] * 14 + [True]
 
 
 # --- the screen of lines that can never bind ---------------------------------
@@ -621,12 +713,59 @@ def test_screened_lines_never_bind(case, golden, n_kept):
     assert set(binding) <= set(kept.tolist())
 
 
-@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
 @pytest.mark.parametrize("load", [
     lambda: parse_case("cases/case9_wind.json"),
     lambda: parse_case("cases/alternation.json"),
+    lambda: parse_case("tests/data/mesh100.json"),
     _mesh100_tight_caps,
-], ids=["case9", "alternation", "mesh100"])
+    lambda: parse_case_dict(synthetic_grid1000()),
+], ids=["case9", "alternation", "mesh100", "mesh100-tight", "grid1000"])
+def test_screen_matches_the_knapsack_of_every_line(load):
+    # the cheap bound drops only lines that the knapsack of every line
+    # (tests/cc_opf_reference.py) drops too; on the 1000-bus grid it
+    # leaves 138 of 1500 lines to sort, and the screen keeps 45
+    net, chance = load()
+    table = build_conic_constraints(net, chance)
+    box = _generation_box(net, chance)
+    kept = _bindable_lines(table, *box)
+    assert np.array_equal(kept, cc_opf_reference.bindable_lines(table, *box))
+    if net.n_line == 1500:
+        assert kept.size == 45
+
+
+def test_screen_matches_the_knapsack_of_every_line_on_random_tables():
+    # random tables whose bounds sit near the screen's threshold, a quarter
+    # of them exactly at it, with and without wind; the last trial spans
+    # three blocks of lines
+    rng = np.random.default_rng(29)
+    sizes = [(int(rng.integers(1, 300)), int(rng.integers(1, 40))) for _ in range(60)]
+    kept_total = 0
+    for trial, (n_line, g) in enumerate(sizes + [(2000, 300)]):
+        lo_p = rng.uniform(0.0, 1.0, g)
+        hi_p = lo_p + rng.uniform(-0.2, 2.0, g)
+        total = float(lo_p.sum() + rng.uniform(0.0, 1.0) * np.maximum(hi_p - lo_p, 0.0).sum())
+        c = float(rng.uniform(0.001, 0.1)) if trial % 4 else 0.0
+        table = cc_mod.ConicTable(
+            gen=rng.normal(size=(n_line, g)) * rng.uniform(0.01, 2.0, (n_line, 1)),
+            offset=rng.normal(size=n_line), c=c, d_bar=rng.normal(size=n_line),
+            r=rng.uniform(0.0, 0.2, n_line) * (c > 0), bound=np.ones(n_line),
+            eta_t=rng.uniform(0.0, 3.0, n_line), eta_s=rng.uniform(0.0, 4.0, n_line))
+        gap = cc_mod._largest_gap(table.gen, table.offset, lo_p, hi_p, total)
+        spread = np.maximum(table.spread_at(table.gen.min(axis=1)),
+                            table.spread_at(table.gen.max(axis=1)))
+        at = rng.random(n_line) < 0.25
+        table.bound[:] = (gap + table.eta_t * spread) / (1.0 - 1e-6) * np.where(
+            at, 1.0, rng.uniform(0.5, 2.0, n_line))
+        table.eta_s[:] = np.where(rng.random(n_line) < 0.5, table.eta_s, np.maximum(
+            ((1.0 - 1e-6) * rng.uniform(0.9, 1.1, n_line) - gap) / np.maximum(spread, 1e-9), 0.0))
+        kept = _bindable_lines(table, lo_p, hi_p, total)
+        assert np.array_equal(kept, cc_opf_reference.bindable_lines(table, lo_p, hi_p, total)), trial
+        kept_total += kept.size
+    assert 0 < kept_total < sum(n for n, _ in sizes) + 2000
+
+
+@pytest.mark.parametrize("add_all", [False, True], ids=["one-cut", "all-violated"])
+@CUT_LOOP_CASES
 def test_screen_keeps_the_solve_and_its_reports(load, add_all, monkeypatch):
     # against the loop over every line: the same iterates, log and per-line
     # reports; only the screened lines' initial tangents are gone
